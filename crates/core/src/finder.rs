@@ -452,10 +452,15 @@ impl Surf {
                 self.config.cluster_radius_fraction,
             )
         };
+        // Counted per pass, so `/metrics` shows how often the fallback fires. Without a
+        // margin the first pass runs at the raw threshold but still counts as margined.
+        let obs = surf_obs::global();
+        obs.core_mine_runs_margined.inc();
         let outcome = mine(margined);
         if outcome.regions.is_empty() && shift > 0.0 {
             // The conservative constraint is infeasible under the surrogate (e.g. a small
             // "below" threshold with a large RMSE); honour the analyst's raw threshold.
+            obs.core_mine_runs_raw.inc();
             return mine(threshold);
         }
         outcome

@@ -125,11 +125,13 @@ impl KernelDensity {
     /// Probability mass the axis-aligned box `[lower, upper]` captures under the estimate:
     /// `∫_box p̂(a) da ∈ [0, 1]`.
     pub fn box_probability(&self, lower: &[f64], upper: &[f64]) -> Result<f64, MlError> {
-        if lower.len() != self.dimensions() || upper.len() != self.dimensions() {
-            return Err(MlError::FeatureWidthMismatch {
-                expected: self.dimensions(),
-                actual: lower.len().max(upper.len()),
-            });
+        for bound in [lower, upper] {
+            if bound.len() != self.dimensions() {
+                return Err(MlError::FeatureWidthMismatch {
+                    expected: self.dimensions(),
+                    actual: bound.len(),
+                });
+            }
         }
         let mut total = 0.0;
         for point in &self.points {
@@ -262,5 +264,17 @@ mod tests {
         let kde = KernelDensity::fit_scott(&uniform_points(10, 2, 6)).unwrap();
         assert!(kde.density(&[0.5]).is_err());
         assert!(kde.box_probability(&[0.0], &[1.0]).is_err());
+        // The error reports the width of the slice that mismatches, not the wider one.
+        let mismatch = |actual| {
+            Err(MlError::FeatureWidthMismatch {
+                expected: 2,
+                actual,
+            })
+        };
+        assert_eq!(kde.box_probability(&[0.0], &[1.0, 1.0]), mismatch(1));
+        assert_eq!(
+            kde.box_probability(&[0.0, 0.0], &[1.0, 1.0, 1.0]),
+            mismatch(3)
+        );
     }
 }

@@ -26,8 +26,9 @@
 //! property the workspace's determinism posture demands of every merge.
 //!
 //! The per-server recorders live behind an [`ObsConfig`]; library-level coarse spans
-//! (training rounds in `surf-ml`, swarm evaluations in `surf-optim`) record through the
-//! process-wide [`global()`] handle, whose disabled path is a single relaxed load.
+//! (training rounds in `surf-ml`, swarm evaluations and density weights in `surf-optim`)
+//! and counters (density-weight outcomes, mining passes in `surf-core`) record through the
+//! process-wide [`global()`] handle, whose disabled span path is a single relaxed load.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Recording must never panic a worker thread out from under a request; tests keep the
@@ -102,12 +103,26 @@ pub struct GlobalObs {
     pub ml_split_search: Arc<Histogram>,
     /// Per-iteration whole-swarm fitness evaluation time (`surf-optim`).
     pub optim_swarm_fitness: Arc<Histogram>,
+    /// Time of one GSO iteration's density-weight computations, observed only by
+    /// iterations that compute at least one weight (`surf-optim`).
+    pub optim_density_weights: Arc<Histogram>,
+    /// GSO density-weight slots computed because a movement decision read them.
+    pub optim_density_weights_computed: Arc<Counter>,
+    /// GSO density-weight slots read from the cache of a glowworm that had not moved.
+    pub optim_density_weights_reused: Arc<Counter>,
+    /// GSO density-weight slots no movement decision read, so never computed.
+    pub optim_density_weights_unread: Arc<Counter>,
+    /// GSO passes a mining call ran at its RMSE-margined threshold (`surf-core`).
+    pub core_mine_runs_margined: Arc<Counter>,
+    /// GSO passes a mining call re-ran at the raw threshold after the margined pass found
+    /// nothing (`surf-core`).
+    pub core_mine_runs_raw: Arc<Counter>,
     enabled: AtomicBool,
 }
 
 impl GlobalObs {
     /// Whether library spans are being recorded (one relaxed load — the entire cost of a
-    /// disabled call site).
+    /// disabled call site). Counters count regardless.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -166,12 +181,42 @@ static GLOBAL: LazyLock<GlobalObs> = LazyLock::new(|| {
         "Wall time of one whole-swarm fitness_batch evaluation",
         &bounds,
     );
+    let optim_density_weights = registry.histogram(
+        "surf_optim_density_weights_nanos",
+        "Wall time of one GSO iteration's density-weight computations (iterations computing none are not observed)",
+        &bounds,
+    );
+    let density_weights = |outcome: &str| {
+        registry.counter_with(
+            "surf_optim_density_weights_total",
+            "GSO density-weight slots, one per glowworm per iteration, by outcome",
+            &[("outcome", outcome)],
+        )
+    };
+    let optim_density_weights_computed = density_weights("computed");
+    let optim_density_weights_reused = density_weights("reused");
+    let optim_density_weights_unread = density_weights("unread");
+    let mine_runs = |pass: &str| {
+        registry.counter_with(
+            "surf_core_mine_runs_total",
+            "GSO passes run by mining calls, at the RMSE-margined threshold or as the raw-threshold fallback",
+            &[("pass", pass)],
+        )
+    };
+    let core_mine_runs_margined = mine_runs("margined");
+    let core_mine_runs_raw = mine_runs("raw");
     GlobalObs {
         registry,
         ml_round_fit,
         ml_hist_build,
         ml_split_search,
         optim_swarm_fitness,
+        optim_density_weights,
+        optim_density_weights_computed,
+        optim_density_weights_reused,
+        optim_density_weights_unread,
+        core_mine_runs_margined,
+        core_mine_runs_raw,
         enabled: AtomicBool::new(true),
     }
 });

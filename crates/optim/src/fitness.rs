@@ -87,6 +87,10 @@ pub trait FitnessFunction: Sync {
 
     /// Non-negative weight proportional to the data density around the candidate, used by the
     /// KDE-guided movement rule (Eq. 8). The default of 1 disables the guidance.
+    ///
+    /// Implementations **must** be a pure function of `solution`: GSO calls it only for
+    /// candidates a movement decision reads, and reuses a result until the candidate moves,
+    /// so it may skip a call or read an earlier result in place of a new one.
     fn density_weight(&self, _solution: &[f64]) -> f64 {
         1.0
     }

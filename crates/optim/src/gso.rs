@@ -13,6 +13,12 @@
 //! return every region satisfying the analyst's constraint. SuRF additionally weighs the
 //! neighbour-selection probability by the KDE mass of the candidate region (Eq. 8), supplied
 //! here through [`FitnessFunction::density_weight`].
+//!
+//! Density weights are demand-driven. Each iteration first lists every glowworm's brighter
+//! neighbours, then computes weights only for glowworms that appear in some list, and keeps
+//! each weight until its glowworm moves. Eq. 7 therefore reads the same weights an
+//! every-glowworm pass would compute. A swarm with no brighter neighbour anywhere, such as
+//! one that is entirely infeasible, computes none.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,10 +54,11 @@ pub struct GsoParams {
     /// Stop early when the mean absolute luciferin change over a full iteration falls below
     /// this tolerance (0 disables early convergence detection).
     pub convergence_tolerance: f64,
-    /// OS threads used to evaluate glowworm fitness (and KDE density weights) each
-    /// iteration: `0` = automatic (or inherited from the pipeline's thread knob),
-    /// `1` = sequential, `n` = exactly `n`. Fitness evaluations are independent, so the
-    /// trajectory is identical for every thread count.
+    /// OS threads used each iteration to evaluate glowworm fitness and the density weights
+    /// that iteration's movement reads (only glowworms that are some neighbour's candidate
+    /// and have moved since their last weight): `0` = automatic (or inherited from the
+    /// pipeline's thread knob), `1` = sequential, `n` = exactly `n`. Evaluations are
+    /// independent, so the trajectory is identical for every thread count.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -245,6 +252,10 @@ impl GlowwormSwarm {
         let mut luciferin = vec![params.initial_luciferin; params.glowworms];
         let mut radius = vec![max_radius; params.glowworms];
         let mut current_fitness: Vec<f64> = vec![f64::NEG_INFINITY; params.glowworms];
+        // Each glowworm's density weight at its current position, once a movement decision
+        // has read it; dropped whenever the glowworm moves.
+        let mut density: Vec<Option<f64>> = vec![None; params.glowworms];
+        let obs = surf_obs::global();
 
         let mut mean_fitness_history = Vec::with_capacity(params.iterations);
         let mut fitness_evaluations = 0usize;
@@ -290,29 +301,59 @@ impl GlowwormSwarm {
             // radius with probability proportional to the luciferin difference (Eq. 7),
             // optionally weighted by the KDE mass of the neighbour's region (Eq. 8).
             let snapshot = positions.clone();
-            // Density weights depend only on a glowworm's current position, so they are
-            // computed once per iteration instead of once per (glowworm, neighbour) pair.
-            let density: Vec<f64> = if params.use_density_guide {
-                parallel_map(snapshot.iter().collect(), threads, |p: &&Vec<f64>| {
-                    fitness.density_weight(p).max(0.0)
-                })
-            } else {
-                vec![1.0; params.glowworms]
-            };
+            // Candidates first. Neither luciferin nor the snapshot changes while the swarm
+            // moves, and a glowworm's radius changes only after its own move, so these are
+            // the lists a glowworm-by-glowworm scan would find.
+            let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(params.glowworms);
             for i in 0..params.glowworms {
-                let mut neighbor_ids: Vec<usize> = Vec::new();
-                let mut weights: Vec<f64> = Vec::new();
+                let mut brighter = Vec::new();
                 for j in 0..params.glowworms {
                     if j == i || luciferin[j] <= luciferin[i] {
                         continue;
                     }
-                    let distance = euclidean(&snapshot[i], &snapshot[j]);
-                    if distance <= radius[i] {
-                        let weight = (luciferin[j] - luciferin[i]) * density[j];
-                        if weight > 0.0 {
-                            neighbor_ids.push(j);
-                            weights.push(weight);
-                        }
+                    if euclidean(&snapshot[i], &snapshot[j]) <= radius[i] {
+                        brighter.push(j);
+                    }
+                }
+                candidates.push(brighter);
+            }
+            // Then the weights those lists read and the cache lacks. Every glowworm's slot
+            // this iteration is counted as computed, reused or unread.
+            if params.use_density_guide {
+                let mut read = vec![false; params.glowworms];
+                for &j in candidates.iter().flatten() {
+                    read[j] = true;
+                }
+                let missing: Vec<usize> = (0..params.glowworms)
+                    .filter(|&j| read[j] && density[j].is_none())
+                    .collect();
+                let read_count = read.iter().filter(|&&r| r).count();
+                obs.optim_density_weights_computed.add(missing.len() as u64);
+                obs.optim_density_weights_reused
+                    .add((read_count - missing.len()) as u64);
+                obs.optim_density_weights_unread
+                    .add((params.glowworms - read_count) as u64);
+                if !missing.is_empty() {
+                    let span = obs.timer();
+                    let computed = parallel_map(missing, threads, |&j| {
+                        (j, fitness.density_weight(&snapshot[j]).max(0.0))
+                    });
+                    obs.record(&obs.optim_density_weights, span);
+                    for (j, weight) in computed {
+                        density[j] = Some(weight);
+                    }
+                }
+            }
+            let mut moved = Vec::new();
+            for i in 0..params.glowworms {
+                let mut neighbor_ids: Vec<usize> = Vec::new();
+                let mut weights: Vec<f64> = Vec::new();
+                for &j in &candidates[i] {
+                    // Without the density guide no weight is ever stored: every one is 1.
+                    let weight = (luciferin[j] - luciferin[i]) * density[j].unwrap_or(1.0);
+                    if weight > 0.0 {
+                        neighbor_ids.push(j);
+                        weights.push(weight);
                     }
                 }
 
@@ -332,6 +373,7 @@ impl GlowwormSwarm {
                         positions[i][d] += step * (snapshot[chosen][d] - snapshot[i][d]) / distance;
                     }
                     bounds.clamp(&mut positions[i]);
+                    moved.push(i);
                 } else if !current_fitness[i].is_finite() {
                     // A glowworm stuck on an invalid candidate with nobody to follow would
                     // otherwise freeze for the rest of the run. Let it take a small random
@@ -343,12 +385,18 @@ impl GlowwormSwarm {
                         *value += step * (rng.random::<f64>() * 2.0 - 1.0);
                     }
                     bounds.clamp(&mut positions[i]);
+                    moved.push(i);
                 }
 
                 // Decision-radius adaptation toward the desired neighbour count.
                 let n_i = neighbor_ids.len() as f64;
                 radius[i] = (radius[i] + params.beta * (params.desired_neighbors as f64 - n_i))
                     .clamp(1e-9, max_radius);
+            }
+            // Every decision above read weights at the snapshot; a glowworm that moved needs
+            // a fresh weight the next time one is read.
+            for i in moved {
+                density[i] = None;
             }
 
             let mean_change = total_change / params.glowworms as f64;
@@ -402,8 +450,98 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::fitness::{MultiPeak, SolutionBounds};
+
+    /// A landscape built from `+ − × /` alone, with no libm call, so its bits and the
+    /// trajectory over it are the same on every platform. Two rational bumps, an infeasible
+    /// block that strands some glowworms into exploration steps, and a density weight that
+    /// favours the top of the square.
+    struct Rational;
+
+    impl FitnessFunction for Rational {
+        fn bounds(&self) -> SolutionBounds {
+            SolutionBounds::unit(2)
+        }
+        fn fitness(&self, s: &[f64]) -> f64 {
+            if s[0] > 0.55 && s[1] < 0.6 {
+                return f64::NEG_INFINITY;
+            }
+            let bump = |cx: f64, cy: f64| {
+                let (dx, dy) = (s[0] - cx, s[1] - cy);
+                1.0 / (1.0 + 40.0 * (dx * dx + dy * dy))
+            };
+            bump(0.25, 0.3).max(bump(0.7, 0.75))
+        }
+        fn density_weight(&self, s: &[f64]) -> f64 {
+            0.2 + s[1] * s[1] + 0.5 * s[0] * (1.0 - s[0])
+        }
+    }
+
+    /// An FNV-1a fold, one 64-bit word at a time, over the bits of every value in a result.
+    fn digest(result: &GsoResult) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        for g in &result.glowworms {
+            words.extend(g.position.iter().map(|v| v.to_bits()));
+            words.extend([g.fitness.to_bits(), g.luciferin.to_bits()]);
+        }
+        words.extend(result.mean_fitness_history.iter().map(|v| v.to_bits()));
+        words.extend([
+            result.iterations_run as u64,
+            u64::from(result.converged),
+            result.fitness_evaluations as u64,
+        ]);
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn trajectory_bits_match_the_every_glowworm_weight_pass() {
+        // Recorded from a GSO that computed every glowworm's density weight on every
+        // iteration: demand-driven weights must leave every bit of the result unchanged.
+        let pinned = [
+            (GsoParams::quick().with_seed(13), 0x0c79_bca6_441e_5408_u64),
+            (GsoParams::default().with_seed(13), 0xd300_626c_5ebe_87f5),
+        ];
+        for (params, expected) in pinned {
+            for threads in [1, 2] {
+                let result =
+                    GlowwormSwarm::new(params.clone().with_threads(threads)).run(&Rational);
+                assert_eq!(
+                    digest(&result),
+                    expected,
+                    "{} glowworms, {threads} threads",
+                    params.glowworms
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_infeasible_swarm_computes_no_density_weight() {
+        /// Never valid, so every luciferin level decays in lockstep and no glowworm ever
+        /// has a brighter neighbour whose weight a movement decision could read.
+        struct Infeasible(AtomicUsize);
+        impl FitnessFunction for Infeasible {
+            fn bounds(&self) -> SolutionBounds {
+                SolutionBounds::unit(2)
+            }
+            fn fitness(&self, _: &[f64]) -> f64 {
+                f64::NEG_INFINITY
+            }
+            fn density_weight(&self, _: &[f64]) -> f64 {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                1.0
+            }
+        }
+        let landscape = Infeasible(AtomicUsize::new(0));
+        let result = GlowwormSwarm::new(GsoParams::quick().with_seed(4)).run(&landscape);
+        assert_eq!(result.iterations_run, 40);
+        assert_eq!(landscape.0.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn swarm_finds_both_peaks_of_a_bimodal_landscape() {
@@ -450,16 +588,21 @@ mod tests {
 
     #[test]
     fn trajectory_is_identical_for_every_thread_count() {
-        let landscape = MultiPeak::two_peaks();
-        let serial =
-            GlowwormSwarm::new(GsoParams::quick().with_seed(7).with_threads(1)).run(&landscape);
-        let parallel =
-            GlowwormSwarm::new(GsoParams::quick().with_seed(7).with_threads(4)).run(&landscape);
-        let auto =
-            GlowwormSwarm::new(GsoParams::quick().with_seed(7).with_threads(0)).run(&landscape);
-        assert_eq!(serial.glowworms, parallel.glowworms);
-        assert_eq!(serial.glowworms, auto.glowworms);
-        assert_eq!(serial.mean_fitness_history, parallel.mean_fitness_history);
+        let landscapes: [&dyn FitnessFunction; 2] = [&MultiPeak::two_peaks(), &Rational];
+        for landscape in landscapes {
+            let run = |threads| {
+                GlowwormSwarm::new(GsoParams::quick().with_seed(7).with_threads(threads))
+                    .run(landscape)
+            };
+            let (serial, parallel, auto) = (run(1), run(4), run(0));
+            assert_eq!(serial.glowworms, parallel.glowworms);
+            assert_eq!(serial.glowworms, auto.glowworms);
+            // Bitwise: the history holds NaN while no glowworm is valid.
+            let bits = |r: &GsoResult| -> Vec<u64> {
+                r.mean_fitness_history.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&serial), bits(&parallel));
+        }
     }
 
     #[test]

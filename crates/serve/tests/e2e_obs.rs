@@ -1,8 +1,9 @@
 //! End-to-end tests of the observability surface over real TCP: `/metrics` serves valid
 //! Prometheus text whose breakdown histograms were actually recorded by the transports,
 //! `/stats` agrees with `/metrics` (they are two views over the same registry), the
-//! flight recorder serves traces on `/trace`, and the blocking transport records the same
-//! span names and histograms as the event loop.
+//! flight recorder serves traces on `/trace`, the blocking transport records the same
+//! span names and histograms as the event loop, and a served `/mine` reaches the
+//! process-global mining instruments.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use surf_obs::expo;
 use surf_optim::gso::GsoParams;
 use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
-use surf_serve::routes::{PredictRequest, RegionSpec, StatsResponse};
+use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec, StatsResponse};
 use surf_serve::{
     serve, CoalesceConfig, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle,
     TransportMode,
@@ -268,6 +269,59 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
         value(&samples, "surf_ml_round_fit_nanos_count") > 0.0,
         "training rounds must have recorded into the global registry"
     );
+
+    handle.shutdown();
+}
+
+/// A served `/mine` shows up in the process-global mining instruments: the margined GSO
+/// pass and the density-weight slots of every iteration it ran. Other tests in this binary
+/// may mine concurrently, so the assertions are lower bounds.
+#[test]
+fn mine_records_gso_passes_and_density_weights() {
+    let engine = quick_engine(61);
+    let handle = start(&engine, obs_config(TransportMode::EventLoop));
+    let addr = handle.addr().to_string();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let response = client
+        .request("POST", "/mine", Some("{\"model\": \"m\"}"))
+        .unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let mined: MineResponse = serde_json::from_str(&response.body).unwrap();
+    let metrics = client.request("GET", "/metrics", None).unwrap();
+    expo::validate(&metrics.body)
+        .unwrap_or_else(|violations| panic!("invalid exposition: {violations:?}"));
+    let samples = expo::parse(&metrics.body).unwrap();
+
+    assert!(labeled(&samples, "surf_core_mine_runs_total", "pass", "margined") >= 1.0);
+    // Pre-registered: present whether or not any fallback ran.
+    labeled(&samples, "surf_core_mine_runs_total", "pass", "raw");
+    let slots: f64 = ["computed", "reused", "unread"]
+        .into_iter()
+        .map(|outcome| {
+            labeled(
+                &samples,
+                "surf_optim_density_weights_total",
+                "outcome",
+                outcome,
+            )
+        })
+        .sum();
+    let glowworms = engine.config().gso.glowworms;
+    assert!(
+        slots >= (glowworms * mined.outcome.iterations_run) as f64,
+        "{slots} density-weight slots for {} iterations",
+        mined.outcome.iterations_run
+    );
+    if labeled(
+        &samples,
+        "surf_optim_density_weights_total",
+        "outcome",
+        "computed",
+    ) > 0.0
+    {
+        assert!(value(&samples, "surf_optim_density_weights_nanos_count") > 0.0);
+    }
 
     handle.shutdown();
 }
