@@ -144,6 +144,14 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Diagnostic>> {
     // Lock-order cycles are a cross-file property; no inline allow applies.
     out.extend(graph.cycle_diagnostics());
 
+    // A scope entry naming no file would drop a deleted or renamed module from its rule.
+    let files: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|s| (s.rel.as_str(), s.text.as_str()))
+        .collect();
+    out.extend(rules::panic_path::stale_entries(&files));
+    out.extend(rules::float_determinism::stale_entries(&files));
+
     // Unsafe boundary: group sources by owning crate (longest dir prefix wins).
     let unsafe_allowlist =
         match fs::read_to_string(root.join(rules::unsafe_boundary::ALLOWLIST_PATH)) {

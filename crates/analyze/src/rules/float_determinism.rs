@@ -16,7 +16,8 @@
 //! `for _ in &map`) whose enclosing statement or loop body accumulates. That trades a
 //! little over-approximation (flagging an integer sum over a map, which is order-safe) for
 //! zero type inference; integer cases are exactly what the escape hatch
-//! `// lint: allow(float-determinism) — integer accumulation` is for.
+//! `// lint: allow(float-determinism) — integer accumulation` is for. A [`TARGET_FILES`]
+//! entry that names no source file is a finding too.
 
 use crate::lexer::{self, Scanned};
 use crate::Diagnostic;
@@ -25,14 +26,28 @@ use std::collections::BTreeSet;
 /// Rule name as used in diagnostics and allow directives.
 pub const NAME: &str = "float-determinism";
 
-/// Workspace-relative files the rule governs: the modules covered by the `hist_parity`,
-/// `compiled_parity`, `engine_parity` and `index_equivalence` bit-identity suites.
+/// Workspace-relative path of this rule's source, where [`TARGET_FILES`] lives.
+const RULE_FILE: &str = "crates/analyze/src/rules/float_determinism.rs";
+
+/// Files the rule governs by name: the modules covered by the `hist_parity`,
+/// `compiled_parity` and `engine_parity` bit-identity suites.
+pub const TARGET_FILES: &[&str] = &[
+    "crates/ml/src/tree.rs",
+    "crates/ml/src/compiled.rs",
+    "crates/ml/src/matrix.rs",
+    "crates/ml/src/qs.rs",
+];
+
+/// Workspace-relative files the rule governs: [`TARGET_FILES`] plus every
+/// `crates/data/src/index*` module (the `index_equivalence` suite's).
 pub fn governs(rel: &str) -> bool {
-    rel == "crates/ml/src/tree.rs"
-        || rel == "crates/ml/src/compiled.rs"
-        || rel == "crates/ml/src/matrix.rs"
-        || rel == "crates/ml/src/qs.rs"
+    TARGET_FILES.contains(&rel)
         || (rel.starts_with("crates/data/src/index") && rel.ends_with(".rs"))
+}
+
+/// Diagnostics for [`TARGET_FILES`] entries that name none of `sources` (`(rel, text)`).
+pub fn stale_entries(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+    super::stale_scope_entries(NAME, RULE_FILE, TARGET_FILES, sources)
 }
 
 const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
@@ -300,6 +315,32 @@ mod tests {
     fn allow_escape_hatch() {
         let src = "fn f(m: &HashMap<u64, u64>) -> u64 {\n    // lint: allow(float-determinism) — integer counts, order-independent\n    m.values().sum()\n}\n";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn a_target_file_missing_from_the_sources_is_stale() {
+        let rule_source = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/src/rules/float_determinism.rs"
+        ))
+        .unwrap();
+        let mut sources: Vec<(&str, &str)> = TARGET_FILES
+            .iter()
+            .filter(|rel| **rel != "crates/ml/src/qs.rs")
+            .map(|rel| (*rel, ""))
+            .collect();
+        sources.push((RULE_FILE, &rule_source));
+        let stale = stale_entries(&sources);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert!(stale[0].message.contains("crates/ml/src/qs.rs"));
+        assert_eq!(stale[0].file, RULE_FILE);
+        let line = rule_source.lines().nth(stale[0].line - 1).unwrap();
+        assert!(
+            line.contains("\"crates/ml/src/qs.rs\""),
+            "points at the entry: {line}"
+        );
+        sources.push(("crates/ml/src/qs.rs", ""));
+        assert!(stale_entries(&sources).is_empty());
     }
 
     #[test]

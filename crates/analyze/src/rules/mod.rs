@@ -2,11 +2,44 @@
 //! scope predicate (`governs` or crate-level targeting), and a pure `check_*` entry point
 //! over pre-lexed sources so the fixtures in its tests never touch the filesystem.
 
+use crate::Diagnostic;
+
 pub mod float_determinism;
 pub mod lock_hygiene;
 pub mod panic_path;
 pub mod unsafe_boundary;
 pub mod vendor_integrity;
+
+/// Diagnostics for scope entries — workspace-relative files a rule governs by name — that
+/// match none of `sources` (`(rel, text)` pairs). A deleted or renamed module would
+/// otherwise drop out of the gate silently. Each finding points at the entry's line in
+/// `rule_file`, the rule's own source.
+pub(crate) fn stale_scope_entries(
+    rule: &str,
+    rule_file: &str,
+    entries: &[&str],
+    sources: &[(&str, &str)],
+) -> Vec<Diagnostic> {
+    let rule_text = sources
+        .iter()
+        .find(|(rel, _)| *rel == rule_file)
+        .map_or("", |(_, text)| *text);
+    entries
+        .iter()
+        .filter(|entry| !sources.iter().any(|(rel, _)| rel == *entry))
+        .map(|entry| {
+            let line = rule_text
+                .find(&format!("\"{entry}\""))
+                .map_or(1, |at| crate::lexer::line_of(rule_text, at));
+            Diagnostic::new(
+                rule,
+                rule_file,
+                line,
+                &format!("scope entry `{entry}` names no source file — remove or rename it"),
+            )
+        })
+        .collect()
+}
 
 /// Static description of one rule, for `surf-analyze list`.
 pub struct RuleInfo {

@@ -7,7 +7,9 @@
 //! `panic!`, `unreachable!`, `todo!` or `unimplemented!` outside `#[cfg(test)]` code.
 //! Lock poisoning in particular must either produce a structured 500
 //! (`ServeError::LockPoisoned`) or recover the guard (`PoisonError::into_inner`) with a
-//! comment arguing why the protected state stays valid.
+//! comment arguing why the protected state stays valid. A [`TARGET_FILES`] entry that
+//! names no source file is a finding too, so deleting or renaming a governed module cannot
+//! quietly shrink the rule's scope.
 //!
 //! Escape hatch: `// lint: allow(panic-path) — <reason>` on the offending line.
 
@@ -16,6 +18,9 @@ use crate::Diagnostic;
 
 /// Rule name as used in diagnostics and allow directives.
 pub const NAME: &str = "panic-path";
+
+/// Workspace-relative path of this rule's source, where [`TARGET_FILES`] lives.
+const RULE_FILE: &str = "crates/analyze/src/rules/panic_path.rs";
 
 /// Workspace-relative files the rule governs: the modules that run on worker threads and
 /// hold the serving subsystem's shared state.
@@ -26,7 +31,6 @@ pub const TARGET_FILES: &[&str] = &[
     "crates/serve/src/routes.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/conn.rs",
-    "crates/serve/src/coalesce.rs",
     "crates/serve/src/event_loop.rs",
     "crates/serve/src/queue.rs",
     "crates/serve/src/obs.rs",
@@ -39,6 +43,11 @@ pub const TARGET_FILES: &[&str] = &[
 /// Whether the rule governs this workspace-relative path.
 pub fn governs(rel: &str) -> bool {
     TARGET_FILES.contains(&rel)
+}
+
+/// Diagnostics for [`TARGET_FILES`] entries that name none of `sources` (`(rel, text)`).
+pub fn stale_entries(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+    super::stale_scope_entries(NAME, RULE_FILE, TARGET_FILES, sources)
 }
 
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
@@ -111,6 +120,21 @@ mod tests {
     fn quiet_on_strings_comments_and_test_code() {
         let src = "fn f() { let s = \".unwrap()\"; } // .expect() in a comment\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); panic!(); }\n}\n";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn a_target_file_missing_from_the_sources_is_stale() {
+        let sources: Vec<(&str, &str)> = TARGET_FILES
+            .iter()
+            .filter(|rel| **rel != "crates/serve/src/cache.rs")
+            .map(|rel| (*rel, ""))
+            .collect();
+        let stale = stale_entries(&sources);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert!(stale[0].message.contains("crates/serve/src/cache.rs"));
+        assert_eq!(stale[0].file, RULE_FILE);
+        let all: Vec<(&str, &str)> = TARGET_FILES.iter().map(|rel| (*rel, "")).collect();
+        assert!(stale_entries(&all).is_empty());
     }
 
     #[test]

@@ -1,28 +1,23 @@
-//! Serving-transport performance trajectory: open-loop load generation against the three
-//! serve front ends — the blocking worker pool (`TransportMode::Blocking`, the pre-event-
-//! loop baseline, one connection per worker, close after every response), the epoll event
-//! loop without coalescing, and the event loop with the coalescing batch queue in front of
-//! the compiled ensemble.
+//! Serving performance trajectory: open-loop load generation against the `surf-serve`
+//! event loop answering `POST /predict` with the prediction cache off.
 //!
-//! For each (transport, connections ∈ {1, 16, 64, 256}) cell a ladder of target arrival
-//! rates is offered; every request's latency is measured from its *scheduled* arrival time
-//! (open loop — queueing delay the server causes is charged to the server, avoiding
-//! coordinated omission). A rung is **sustained** when the achieved rate reaches 90% of
-//! the target with p99 under a production-style 10 ms SLO and an error rate under 1%.
-//! The headline number — sustained QPS at 256 connections, event loop + coalescing over
-//! blocking pool, at that equal p99 bar — is what the PR's acceptance gate reads.
+//! For each connection count ∈ {1, 16, 64, 256} a ladder of target arrival rates is
+//! offered; every request's latency is measured from its *scheduled* arrival time (open
+//! loop — queueing delay the server causes is charged to the server, avoiding coordinated
+//! omission). A rung is **sustained** when the achieved rate reaches 90% of the target
+//! with p99 under a production-style 10 ms SLO and an error rate under 1%; a cell's
+//! figure is its highest sustained rate.
 //!
 //! Client design notes: connection slots are multiplexed over at most 32 OS threads
 //! (hundreds of client threads would thrash the scheduler and charge client wake-up jitter
 //! to the server), request bytes are pre-rendered outside the timed path, and responses
 //! are consumed by a minimal status/content-length reader rather than the full header
-//! parser — the generator's job is to spend the machine on the *server under test*.
-//! Keep-alive transports hold every slot's socket open; the blocking transport closes
-//! after each response, so its slots reconnect per request — that cost is charged to the
-//! blocking cell because it is the cost of not having keep-alive.
+//! parser — the generator's job is to spend the machine on the *server under test*. Every
+//! slot holds its keep-alive socket open across requests.
 //!
-//! Results go to `BENCH_serve.json` in the working directory so CI can accumulate a perf
-//! trajectory across commits. `--quick` runs a reduced matrix for CI smoke; `--full` runs
+//! Results go to `BENCH_serve.json` in the working directory, stamped with the host's
+//! available parallelism and detected SIMD ISA so numbers from different machines are
+//! never compared blind. `--quick` runs a reduced matrix for CI smoke; `--full` runs
 //! longer rungs.
 
 use std::io::{Read, Write};
@@ -43,14 +38,10 @@ use surf_obs::expo;
 use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
 use surf_serve::routes::{PredictRequest, RegionSpec};
-use surf_serve::{
-    serve, CoalesceConfig, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle, TransportMode,
-};
+use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
 
-/// The equal-p99 bar: a rung only counts as sustained when p99 stays inside a 10 ms
-/// online-serving SLO. Tight enough that a transport paying connection setup and
-/// accept-poll sleeps on every request fails rungs a multiplexed keep-alive transport
-/// clears; loose enough to absorb the coalescing window many times over.
+/// The p99 bar: a rung only counts as sustained when p99 stays inside a 10 ms
+/// online-serving SLO.
 const P99_CAP_MS: f64 = 10.0;
 /// Fraction of the target rate that must be achieved.
 const SUSTAIN_FRACTION: f64 = 0.9;
@@ -63,7 +54,6 @@ const BODY_VARIANTS: usize = 64;
 
 #[derive(Serialize)]
 struct Rung {
-    transport: String,
     connections: usize,
     target_qps: f64,
     achieved_qps: f64,
@@ -77,35 +67,14 @@ struct Rung {
     /// the rung). `None` when the stage recorded nothing during the rung.
     queue_wait_p50_us: Option<f64>,
     queue_wait_p99_us: Option<f64>,
-    /// Server-side coalescing batch-window wait for this rung only (delta of
-    /// `surf_serve_batch_wait_nanos`); `None` for transports without the batch queue.
-    batch_wait_p50_us: Option<f64>,
-    batch_wait_p99_us: Option<f64>,
     sustained: bool,
 }
 
 #[derive(Serialize)]
 struct SustainedCell {
-    transport: String,
     connections: usize,
     /// Highest achieved QPS among sustained rungs (0 when none sustained).
     sustained_qps: f64,
-}
-
-#[derive(Serialize)]
-struct Headline {
-    connections: usize,
-    blocking_qps: f64,
-    event_loop_qps: f64,
-    event_coalesce_qps: f64,
-    /// The blocking pool's best sustained figure across *all* tested connection counts —
-    /// its best operating point, used as the comparison denominator when the pool cannot
-    /// sustain anything at the headline connection count at all.
-    blocking_best_qps_any_connections: f64,
-    /// Event loop + coalescing at the headline connection count over the blocking pool
-    /// (at the headline count, falling back to its best operating point), same p99 bar.
-    /// Always finite: 0.0 when blocking sustained nothing anywhere.
-    coalesce_vs_blocking: f64,
 }
 
 #[derive(Serialize)]
@@ -113,11 +82,14 @@ struct Artifact {
     bench: &'static str,
     unix_time_seconds: u64,
     scale: String,
+    /// `std::thread::available_parallelism` of the host the run measured.
+    available_parallelism: usize,
+    /// The SIMD ISA `surf_simd` detected on that host.
+    detected_isa: &'static str,
     p99_cap_ms: f64,
     sustain_fraction: f64,
     rungs: Vec<Rung>,
     sustained: Vec<SustainedCell>,
-    headline: Headline,
 }
 
 fn quick_engine() -> Surf {
@@ -137,27 +109,22 @@ fn quick_engine() -> Surf {
     Surf::fit(&synthetic.dataset, &config).expect("bench engine must train")
 }
 
-fn start_server(engine: &Surf, transport: TransportMode, coalesce_on: bool) -> ServerHandle {
+fn start_server(engine: &Surf) -> ServerHandle {
     let registry = Arc::new(ModelRegistry::new());
     registry
         .register(ModelArtifact::from_engine("bench", engine))
         .expect("bench model must register");
     let config = ServerConfig {
-        // Pinned (not auto-resolved) so every transport gets the identical pool whatever
-        // the host's CPU count; handler workers mostly park, so this oversubscribes fine.
+        // Pinned (not auto-resolved) so runs on different hosts use the identical pool;
+        // handler workers mostly park, so this oversubscribes fine.
         workers: 8,
         // Cache off: every request exercises the surrogate path under comparison.
         cache: CacheConfig {
             capacity: 0,
             ..CacheConfig::default()
         },
-        transport,
         max_connections: 4_096,
         max_pending_requests: 8_192, // admission off: rungs saturate, not 503
-        coalesce: CoalesceConfig {
-            enabled: coalesce_on,
-            ..CoalesceConfig::default()
-        },
         ..ServerConfig::default()
     };
     serve(registry, &config).expect("bench server must start")
@@ -280,7 +247,6 @@ fn content_length(head: &[u8]) -> Option<usize> {
 /// queueing is fully charged. Returns (completed, errors, latencies_ms, elapsed_seconds).
 fn run_rung(
     addr: &str,
-    transport: TransportMode,
     connections: usize,
     requests: &[Vec<u8>],
     target_qps: f64,
@@ -302,7 +268,6 @@ fn run_rung(
             .map(|k| {
                 let errors = Arc::clone(&errors);
                 scope.spawn(move || {
-                    let reconnect_per_request = transport == TransportMode::Blocking;
                     let mut slots: Vec<Option<LeanClient>> =
                         (0..slots_per_thread).map(|_| None).collect();
                     let mut observed: Vec<f64> = Vec::new();
@@ -336,9 +301,6 @@ fn run_rung(
                                 slots[slot] = None; // reconnect after any failure
                             }
                         }
-                        if reconnect_per_request {
-                            slots[slot] = None;
-                        }
                         i += threads as u64;
                     }
                     observed
@@ -362,19 +324,16 @@ fn run_rung(
 }
 
 /// Scrapes `/metrics` (off the timed path — rungs are bracketed, not interleaved) and
-/// returns the cumulative `(le, count)` bucket points of the named histograms. Scrape
+/// returns the cumulative `(le, count)` bucket points of the queue-wait histogram. Scrape
 /// failures degrade to empty points — the latency columns become `None`, the rung's
 /// client-side numbers are unaffected.
-fn scrape_buckets(addr: &str, names: &[&str]) -> Vec<Vec<(f64, f64)>> {
+fn scrape_queue_wait(addr: &str) -> Vec<(f64, f64)> {
     let body = HttpClient::connect(addr)
         .and_then(|mut client| client.request("GET", "/metrics", None))
         .map(|response| response.body)
         .unwrap_or_default();
     let samples = expo::parse(&body).unwrap_or_default();
-    names
-        .iter()
-        .map(|name| expo::bucket_points(&samples, name))
-        .collect()
+    expo::bucket_points(&samples, "surf_serve_queue_wait_nanos")
 }
 
 /// Cumulative bucket counts observed *during* a rung: `after - before` per bound. Bounds
@@ -424,159 +383,86 @@ fn main() {
         Duration::from_secs(2),
         Duration::from_secs(4),
     );
-    let modes: [(TransportMode, bool, &str); 3] = [
-        (TransportMode::Blocking, false, "blocking"),
-        (TransportMode::EventLoop, false, "event_loop"),
-        (TransportMode::EventLoop, true, "event_coalesce"),
-    ];
-
     eprintln!("training bench model...");
     let engine = quick_engine();
     let requests = build_requests();
     let mut rungs: Vec<Rung> = Vec::new();
     let mut sustained_cells: Vec<SustainedCell> = Vec::new();
 
-    for (transport, coalesce_on, label) in modes {
-        let handle = start_server(&engine, transport, coalesce_on);
-        let addr = handle.addr().to_string();
-        for &connections in connection_counts {
-            // Unmeasured warmup: establish connections, fault in code paths and spin up
-            // worker threads so the first measured rung isn't charged for cold start.
-            let _ = run_rung(
-                &addr,
-                transport,
-                connections,
-                &requests,
-                targets[0],
-                Duration::from_millis(200),
-            );
-            let mut best = 0.0f64;
-            // One failed rung can be noise (a scheduler hiccup on a shared core); two in
-            // a row is saturation. Stop the ladder only on the latter so an isolated
-            // flake doesn't zero out a cell's sustained figure.
-            let mut consecutive_failures = 0u32;
-            for &target in targets {
-                let scraped_names = ["surf_serve_queue_wait_nanos", "surf_serve_batch_wait_nanos"];
-                let before = scrape_buckets(&addr, &scraped_names);
-                let (completed, errors, mut lat, elapsed) = run_rung(
-                    &addr,
-                    transport,
-                    connections,
-                    &requests,
-                    target,
-                    rung_duration,
-                );
-                let after = scrape_buckets(&addr, &scraped_names);
-                let queue_wait = bucket_delta(&before[0], &after[0]);
-                let batch_wait = bucket_delta(&before[1], &after[1]);
-                lat.sort_by(|a, b| a.total_cmp(b));
-                let achieved = completed as f64 / elapsed;
-                let attempted = completed + errors;
-                let p99 = percentile(&lat, 0.99);
-                let sustained = achieved >= SUSTAIN_FRACTION * target
-                    && p99 <= P99_CAP_MS
-                    && (errors as f64) <= MAX_ERROR_FRACTION * attempted.max(1) as f64;
-                if sustained {
-                    best = best.max(achieved);
-                    consecutive_failures = 0;
-                } else {
-                    consecutive_failures += 1;
-                }
-                eprintln!(
-                    "{label:>14} conns={connections:<4} target={target:>8.0} -> {achieved:>9.1} qps  p99={p99:>8.2}ms  qwait_p99={}  errors={errors}  {}",
-                    delta_quantile_us(&queue_wait, 0.99)
-                        .map_or_else(|| "-".to_string(), |us| format!("{us:.0}us")),
-                    if sustained { "SUSTAINED" } else { "failed" }
-                );
-                rungs.push(Rung {
-                    transport: label.to_string(),
-                    connections,
-                    target_qps: target,
-                    achieved_qps: achieved,
-                    completed,
-                    errors,
-                    p50_ms: percentile(&lat, 0.50),
-                    p90_ms: percentile(&lat, 0.90),
-                    p99_ms: p99,
-                    queue_wait_p50_us: delta_quantile_us(&queue_wait, 0.50),
-                    queue_wait_p99_us: delta_quantile_us(&queue_wait, 0.99),
-                    batch_wait_p50_us: delta_quantile_us(&batch_wait, 0.50),
-                    batch_wait_p99_us: delta_quantile_us(&batch_wait, 0.99),
-                    sustained,
-                });
-                if consecutive_failures >= 2 {
-                    break; // two failures in a row: genuinely saturated
-                }
+    let handle = start_server(&engine);
+    let addr = handle.addr().to_string();
+    for &connections in connection_counts {
+        // Unmeasured warmup: establish connections, fault in code paths and spin up worker
+        // threads so the first measured rung isn't charged for cold start.
+        let _ = run_rung(
+            &addr,
+            connections,
+            &requests,
+            targets[0],
+            Duration::from_millis(200),
+        );
+        let mut best = 0.0f64;
+        // One failed rung can be noise (a scheduler hiccup on a shared core); two in a row
+        // is saturation. Stop the ladder only on the latter so an isolated flake doesn't
+        // zero out a cell's sustained figure.
+        let mut consecutive_failures = 0u32;
+        for &target in targets {
+            let before = scrape_queue_wait(&addr);
+            let (completed, errors, mut lat, elapsed) =
+                run_rung(&addr, connections, &requests, target, rung_duration);
+            let after = scrape_queue_wait(&addr);
+            let queue_wait = bucket_delta(&before, &after);
+            lat.sort_by(|a, b| a.total_cmp(b));
+            let achieved = completed as f64 / elapsed;
+            let attempted = completed + errors;
+            let p99 = percentile(&lat, 0.99);
+            let sustained = achieved >= SUSTAIN_FRACTION * target
+                && p99 <= P99_CAP_MS
+                && (errors as f64) <= MAX_ERROR_FRACTION * attempted.max(1) as f64;
+            if sustained {
+                best = best.max(achieved);
+                consecutive_failures = 0;
+            } else {
+                consecutive_failures += 1;
             }
-            sustained_cells.push(SustainedCell {
-                transport: label.to_string(),
+            eprintln!(
+                "conns={connections:<4} target={target:>8.0} -> {achieved:>9.1} qps  p99={p99:>8.2}ms  qwait_p99={}  errors={errors}  {}",
+                delta_quantile_us(&queue_wait, 0.99)
+                    .map_or_else(|| "-".to_string(), |us| format!("{us:.0}us")),
+                if sustained { "SUSTAINED" } else { "failed" }
+            );
+            rungs.push(Rung {
                 connections,
-                sustained_qps: best,
+                target_qps: target,
+                achieved_qps: achieved,
+                completed,
+                errors,
+                p50_ms: percentile(&lat, 0.50),
+                p90_ms: percentile(&lat, 0.90),
+                p99_ms: p99,
+                queue_wait_p50_us: delta_quantile_us(&queue_wait, 0.50),
+                queue_wait_p99_us: delta_quantile_us(&queue_wait, 0.99),
+                sustained,
             });
+            if consecutive_failures >= 2 {
+                break; // two failures in a row: genuinely saturated
+            }
         }
-        handle.shutdown();
+        sustained_cells.push(SustainedCell {
+            connections,
+            sustained_qps: best,
+        });
     }
-
-    let headline_conns = *connection_counts.last().unwrap_or(&256);
-    let cell = |label: &str| {
-        sustained_cells
-            .iter()
-            .find(|c| c.transport == label && c.connections == headline_conns)
-            .map_or(0.0, |c| c.sustained_qps)
-    };
-    let blocking_qps = cell("blocking");
-    let event_loop_qps = cell("event_loop");
-    let event_coalesce_qps = cell("event_coalesce");
-    let blocking_best_qps_any_connections = sustained_cells
-        .iter()
-        .filter(|c| c.transport == "blocking")
-        .map(|c| c.sustained_qps)
-        .fold(0.0f64, f64::max);
-    // Compare against blocking at the headline connection count when it sustains there,
-    // else against its best operating point anywhere — a *conservative* denominator that
-    // keeps the ratio finite (and meaningful) even when blocking collapses entirely at
-    // the headline count.
-    let denominator = if blocking_qps > 0.0 {
-        blocking_qps
-    } else {
-        blocking_best_qps_any_connections
-    };
-    let headline = Headline {
-        connections: headline_conns,
-        blocking_qps,
-        event_loop_qps,
-        event_coalesce_qps,
-        blocking_best_qps_any_connections,
-        coalesce_vs_blocking: if denominator > 0.0 {
-            event_coalesce_qps / denominator
-        } else {
-            0.0
-        },
-    };
+    handle.shutdown();
 
     let rows: Vec<Vec<String>> = sustained_cells
         .iter()
-        .map(|c| {
-            vec![
-                c.transport.clone(),
-                c.connections.to_string(),
-                format!("{:.0}", c.sustained_qps),
-            ]
-        })
+        .map(|c| vec![c.connections.to_string(), format!("{:.0}", c.sustained_qps)])
         .collect();
     print_table(
-        "Sustained QPS by transport and connection count",
-        &["transport", "connections", "sustained qps"],
+        &format!("Sustained QPS by connection count (p99 <= {P99_CAP_MS} ms)"),
+        &["connections", "sustained qps"],
         &rows,
-    );
-    println!(
-        "\nheadline @ {} connections: blocking {:.0} qps, event loop {:.0} qps, \
-         event loop + coalescing {:.0} qps ({:.1}x over blocking, p99 <= {P99_CAP_MS} ms)",
-        headline.connections,
-        headline.blocking_qps,
-        headline.event_loop_qps,
-        headline.event_coalesce_qps,
-        headline.coalesce_vs_blocking
     );
 
     let artifact = Artifact {
@@ -586,11 +472,12 @@ fn main() {
             .map(|d| d.as_secs())
             .unwrap_or(0),
         scale: format!("{scale:?}"),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        detected_isa: surf_simd::detected().label(),
         p99_cap_ms: P99_CAP_MS,
         sustain_fraction: SUSTAIN_FRACTION,
         rungs,
         sustained: sustained_cells,
-        headline,
     };
     let path = "BENCH_serve.json";
     match serde_json::to_string_pretty(&artifact) {

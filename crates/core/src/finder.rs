@@ -387,24 +387,6 @@ impl Surf {
     /// Mines regions for a different threshold, reusing the already-trained surrogate (no
     /// retraining — the point of SuRF).
     pub fn mine_with(&self, threshold: Threshold) -> MiningOutcome {
-        self.mine_with_surrogate(threshold, &self.surrogate)
-    }
-
-    /// Mines regions evaluating through a caller-supplied surrogate instead of the engine's
-    /// own. The full mining policy (coverage clamp, RMSE margin, raw-threshold fallback) is
-    /// applied unchanged; only the evaluation channel differs.
-    ///
-    /// The intended `surrogate` is an *observationally identical transport wrapper* around
-    /// [`Surf::surrogate`] — e.g. the serving layer's coalescing queue, which routes each
-    /// swarm iteration's `predict_batch` into a shared compiled-ensemble call fused with
-    /// concurrent requests. Because fused evaluation is bit-identical per row, such a
-    /// wrapper leaves the mining outcome bit-identical too. A surrogate that answers
-    /// differently yields outcomes that reflect *it*, not the engine.
-    pub fn mine_with_surrogate(
-        &self,
-        threshold: Threshold,
-        surrogate: &dyn Surrogate,
-    ) -> MiningOutcome {
         // The surrogate has only seen training regions inside the workload coverage range;
         // outside it the gradient-boosted trees extrapolate (flatly), which GSO happily
         // exploits — e.g. slivers far below the trained sizes that the surrogate still
@@ -441,7 +423,7 @@ impl Surf {
         }
         let mine = |threshold: Threshold| {
             mine_regions(
-                surrogate,
+                &self.surrogate,
                 &self.domain,
                 self.config.objective,
                 threshold,

@@ -41,17 +41,6 @@ pub trait Surrogate: Sync {
         regions.iter().map(|r| self.predict(r)).collect()
     }
 
-    /// Like [`Surrogate::predict_batch`], writing into a caller-owned buffer so steady-state
-    /// callers (e.g. the serving layer's coalescing queue) reuse one allocation across
-    /// batches. `out` must hold exactly `regions.len()` slots; every slot is overwritten.
-    /// Overrides must produce exactly the values `predict_batch` would.
-    fn predict_batch_into(&self, regions: &[Region], out: &mut [f64]) {
-        debug_assert_eq!(regions.len(), out.len());
-        for (slot, region) in out.iter_mut().zip(regions) {
-            *slot = self.predict(region);
-        }
-    }
-
     /// Data dimensionality `d` the surrogate expects.
     fn dimensions(&self) -> usize;
 
@@ -239,35 +228,29 @@ impl Surrogate for GbrtSurrogate {
     }
 
     fn predict_batch(&self, regions: &[Region]) -> Vec<f64> {
-        let mut out = vec![0.0; regions.len()];
-        self.predict_batch_into(regions, &mut out);
-        out
-    }
-
-    fn predict_batch_into(&self, regions: &[Region], out: &mut [f64]) {
-        debug_assert_eq!(regions.len(), out.len());
         let width = self.compiled.features();
         // A region of the wrong dimensionality must degrade to a per-region NaN exactly as
         // the scalar path does, so mixed batches fall back to it.
         let Some(flat) = self.flatten_batch(regions) else {
-            for (slot, region) in out.iter_mut().zip(regions) {
-                *slot = self.predict(region);
-            }
-            return;
+            return regions.iter().map(|region| self.predict(region)).collect();
         };
+        let mut out = vec![0.0; regions.len()];
         let result = match (self.engine, &self.quickscorer) {
-            (InferenceEngine::QuickScorer, Some(qs)) => qs.predict_batch_into(&flat, width, out),
+            (InferenceEngine::QuickScorer, Some(qs)) => {
+                qs.predict_batch_into(&flat, width, &mut out)
+            }
             (InferenceEngine::Walker, _) => {
                 for (slot, row) in out.iter_mut().zip(flat.chunks(width.max(1))) {
                     *slot = self.model.predict_one(row).unwrap_or(f64::NAN);
                 }
                 Ok(())
             }
-            _ => self.compiled.predict_batch_into(&flat, width, out),
+            _ => self.compiled.predict_batch_into(&flat, width, &mut out),
         };
         if result.is_err() {
             out.fill(f64::NAN);
         }
+        out
     }
 
     fn dimensions(&self) -> usize {

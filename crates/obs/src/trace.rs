@@ -4,7 +4,7 @@
 //! [`SpanRecord`]s. Traces are plain owned values: the request path carries one through
 //! the pipeline (parse → queue → handler → serialize) and hands it back to the
 //! [`FlightRecorder`] when the response is written. Deep call sites that cannot see the
-//! request (the predict kernel under a route handler, coalesced-batch fusion) attach
+//! request (the predict kernel under a route handler, swarm fitness under `/mine`) attach
 //! spans through a thread-local *current trace* installed around the dispatch — see
 //! [`install`], [`record_span`], [`take`].
 //!
@@ -69,20 +69,6 @@ impl Trace {
             name: name.to_string(),
             start_nanos,
             duration_nanos: saturating_nanos(duration),
-        });
-    }
-
-    /// Records an already-measured span (used when the measurement happened on another
-    /// thread, e.g. the coalescing batcher timing the fused kernel).
-    pub fn record_measured(&mut self, name: &str, start_nanos: u64, duration_nanos: u64) {
-        if self.spans.len() >= MAX_SPANS {
-            self.dropped_spans += 1;
-            return;
-        }
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            start_nanos,
-            duration_nanos,
         });
     }
 
@@ -301,9 +287,9 @@ mod tests {
         let started = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         trace.record_span("kernel", started);
-        trace.record_measured("batch_wait", 10, 20);
-        for i in 0..(MAX_SPANS * 2) {
-            trace.record_measured("filler", i as u64, 1);
+        trace.record_span("serialize", Instant::now());
+        for _ in 0..(MAX_SPANS * 2) {
+            trace.record_span("filler", Instant::now());
         }
         recorder.finish(trace);
         let sample = recorder.samples(1).into_iter().next().unwrap();
@@ -315,8 +301,11 @@ mod tests {
         assert_eq!(sample.spans[0].name, "kernel");
         assert!(sample.spans[0].duration_nanos >= 2_000_000);
         assert!(sample.total_nanos >= sample.spans[0].duration_nanos);
-        assert_eq!(sample.spans[1].name, "batch_wait");
-        assert_eq!(sample.spans[1].start_nanos, 10);
+        assert_eq!(sample.spans[1].name, "serialize");
+        assert!(
+            sample.spans[1].start_nanos >= 2_000_000,
+            "offsets are measured from the trace start"
+        );
     }
 
     #[test]
@@ -345,7 +334,7 @@ mod tests {
     fn trace_samples_serialize_to_json() {
         let recorder = FlightRecorder::new(1, 4);
         let mut trace = recorder.begin("GET /models").unwrap();
-        trace.record_measured("recv_parse", 0, 1_000);
+        trace.record_span("recv_parse", Instant::now());
         recorder.finish(trace);
         let samples = recorder.samples(1);
         let json = serde_json::to_string(&samples).unwrap();

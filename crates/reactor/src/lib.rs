@@ -27,8 +27,8 @@
 //! `surf-analyze check` gate (unsafe-boundary rule) enforces the SAFETY-comment adjacency
 //! on every CI run.
 //!
-//! Linux-only, deliberately: the serving subsystem targets the container the benches run
-//! in. The blocking worker-pool transport in `surf-serve` remains the portable fallback.
+//! Linux-only, deliberately: `surf-serve`'s one transport is built on this crate, so the
+//! serving subsystem runs wherever epoll does and nowhere else.
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use surf_obs::expo;
 use surf_serve::http::HttpClient;
-use surf_serve::{serve, ModelRegistry, ObsConfig, ServerConfig, TransportMode};
+use surf_serve::{serve, ModelRegistry, ObsConfig, ServerConfig};
 
 fn main() -> ExitCode {
     match run() {
@@ -33,7 +33,6 @@ fn run() -> Result<String, String> {
         registry,
         &ServerConfig {
             workers: 2,
-            transport: TransportMode::EventLoop,
             obs: ObsConfig {
                 trace_sample_every: 1,
                 ..ObsConfig::default()

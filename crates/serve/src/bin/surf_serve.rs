@@ -4,9 +4,8 @@
 //! surf-serve train --out model.json [--name demo] [--dims 2] [--points 20000]
 //!                  [--queries 2000] [--threshold 500] [--seed 7]
 //! surf-serve serve --artifact model.json [--artifact other.json ...] [--addr 127.0.0.1:7878]
-//!                  [--workers 0] [--transport event_loop|blocking] [--no-coalesce]
-//!                  [--coalesce-window-us 1000] [--idle-timeout-ms 5000]
-//!                  [--max-conns 1024] [--max-pending 256]
+//!                  [--workers 0] [--idle-timeout-ms 5000] [--max-conns 1024]
+//!                  [--max-pending 256]
 //!                  [--no-metrics] [--no-tracing] [--trace-sample-every 16]
 //! surf-serve query --addr 127.0.0.1:7878 --model demo --center 0.5,0.5 --half 0.1,0.1
 //! ```
@@ -24,7 +23,7 @@ use surf_core::{Surf, SurfConfig};
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_serve::http::http_request;
-use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, TransportMode};
+use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,7 +50,6 @@ const USAGE: &str = "usage:
   surf-serve train --out <file> [--name demo] [--dims 2] [--points 20000] [--queries 2000]
                    [--threshold 500] [--seed 7]
   surf-serve serve --artifact <file> [--artifact <file> ...] [--addr 127.0.0.1:7878] [--workers 0]
-                   [--transport event_loop|blocking] [--no-coalesce] [--coalesce-window-us 1000]
                    [--idle-timeout-ms 5000] [--max-conns 1024] [--max-pending 256]
                    [--no-metrics] [--no-tracing] [--trace-sample-every 16]
   surf-serve query --addr <host:port> --model <name> --center x,y,... --half l1,l2,...
@@ -129,25 +127,6 @@ fn run_server(args: &[String]) -> Result<(), String> {
         registry.register(artifact).map_err(|e| e.to_string())?;
         eprintln!("registered model `{name}` from {path}");
     }
-    let transport = match flag(args, "--transport", "event_loop") {
-        "event_loop" => TransportMode::EventLoop,
-        "blocking" => TransportMode::Blocking,
-        other => {
-            return Err(format!(
-                "unknown transport `{other}` (use `event_loop` or `blocking`)"
-            ))
-        }
-    };
-    let mut coalesce = surf_serve::CoalesceConfig {
-        window_micros: parse(
-            flag(args, "--coalesce-window-us", "1000"),
-            "--coalesce-window-us",
-        )?,
-        ..surf_serve::CoalesceConfig::default()
-    };
-    if args.iter().any(|a| a == "--no-coalesce") {
-        coalesce.enabled = false;
-    }
     let obs = surf_serve::ObsConfig {
         metrics: !args.iter().any(|a| a == "--no-metrics"),
         tracing: !args.iter().any(|a| a == "--no-tracing"),
@@ -160,22 +139,18 @@ fn run_server(args: &[String]) -> Result<(), String> {
     let config = ServerConfig {
         addr: flag(args, "--addr", "127.0.0.1:7878").to_string(),
         workers: parse(flag(args, "--workers", "0"), "--workers")?,
-        transport,
         idle_timeout_ms: parse(flag(args, "--idle-timeout-ms", "5000"), "--idle-timeout-ms")?,
         max_connections: parse(flag(args, "--max-conns", "1024"), "--max-conns")?,
         max_pending_requests: parse(flag(args, "--max-pending", "256"), "--max-pending")?,
-        coalesce,
         obs,
         ..ServerConfig::default()
     };
     let handle = serve(registry, &config).map_err(|e| e.to_string())?;
     eprintln!(
-        "serving {} model(s) on http://{} — {} transport, {} workers, coalescing {} — Ctrl-C to stop",
+        "serving {} model(s) on http://{} — {} workers — Ctrl-C to stop",
         handle.context().registry.len().unwrap_or(0),
         handle.addr(),
-        handle.context().transport.label(),
         handle.context().workers,
-        if config.coalesce.enabled { "on" } else { "off" }
     );
     eprintln!(
         "observability: metrics {} (GET /metrics), tracing {} (GET /trace, 1 in {} requests)",

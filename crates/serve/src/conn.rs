@@ -16,8 +16,9 @@ use std::time::{Duration, Instant};
 use crate::error::ServeError;
 use crate::http::{self, Parsed, Request};
 
-/// Bounded drain of an oversized declared body (mirrors the blocking path's limit): bytes
-/// up to this are discarded so the 413 survives the close; past it we accept the RST.
+/// Bounded drain of an oversized declared body: bytes up to this are discarded so the 413
+/// survives the close (closing with unread input makes the kernel send RST, which would
+/// tear the response away from the client); past it we accept the RST.
 const DRAIN_LIMIT: usize = 8 * 1024 * 1024;
 
 /// The HTTP state of one client connection.
@@ -268,6 +269,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn conn() -> Connection {
         Connection::new(Instant::now())
@@ -454,5 +456,130 @@ mod tests {
             Instant::now(),
         );
         assert!(!c.wants_read(1024));
+    }
+
+    /// Feeds `chunks` in turn, answering every request that comes out so the next one can
+    /// parse; returns the connection and the requests in order.
+    fn drive_chunks(chunks: &[&[u8]]) -> (Connection, Vec<Request>) {
+        let mut c = conn();
+        let mut requests = Vec::new();
+        for chunk in chunks {
+            c.ingest(chunk, Instant::now());
+            while let Some(request) = c.next_request(1024) {
+                requests.push(request);
+                c.queue_response(200, "{}", None, http::CONTENT_TYPE_JSON);
+            }
+        }
+        (c, requests)
+    }
+
+    /// `wire` cut at each of `cuts` (reduced modulo its length + 1).
+    fn split_at<'a>(wire: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut at: Vec<usize> = cuts.iter().map(|cut| cut % (wire.len() + 1)).collect();
+        at.sort_unstable();
+        let mut chunks = Vec::new();
+        let mut from = 0;
+        for to in at.into_iter().chain([wire.len()]) {
+            chunks.push(&wire[from..to]);
+            from = to;
+        }
+        chunks
+    }
+
+    /// HTTP fragments the arbitrary-bytes property splices between raw bytes, so its
+    /// inputs reach header parsing, body framing and the oversized-body drain, not only
+    /// the request-line scan that uniform bytes almost never get past.
+    const FRAGMENTS: [&[u8]; 12] = [
+        b"\r\n",
+        b"\r\n\r\n",
+        b" ",
+        b": ",
+        b"GET / HTTP/1.1",
+        b"POST /predict HTTP/1.0",
+        b"Content-Length: ",
+        b"Transfer-Encoding: chunked",
+        b"Connection: close",
+        b"99999",
+        b"12",
+        b"+3",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn split_pipelined_requests_parse_like_the_whole_run(
+            (specs, cuts) in (1usize..=4).prop_flat_map(|n| (
+                prop::collection::vec(
+                    (0usize..3, prop::bool::ANY, 0usize..48, 0u8..95),
+                    n,
+                ),
+                (0usize..=12).prop_flat_map(|k| prop::collection::vec(0usize..4_096, k)),
+            ))
+        ) {
+            let routes = [("POST", "/predict"), ("POST", "/mine"), ("GET", "/healthz")];
+            let mut wire = Vec::new();
+            for &(route, keep_alive, len, seed) in &specs {
+                let (method, path) = routes[route];
+                let body: String = (0..len)
+                    .map(|i| char::from(b' ' + ((usize::from(seed) + 7 * i) % 95) as u8))
+                    .collect();
+                wire.extend(
+                    format!(
+                        "{method} {path}?q=1 HTTP/1.1\r\nHost: surf\r\n{}Content-Length: {len}\r\n\r\n{body}",
+                        if keep_alive { "Connection: keep-alive\r\n" } else { "" },
+                    )
+                    .into_bytes(),
+                );
+            }
+            let (_, whole) = drive_chunks(&[&wire]);
+            prop_assert_eq!(whole.len(), specs.len());
+            for (request, &(route, _, len, _)) in whole.iter().zip(&specs) {
+                prop_assert_eq!(request.path.as_str(), routes[route].1);
+                prop_assert_eq!(request.body.len(), len);
+                prop_assert!(!request.close);
+            }
+            let (_, split) = drive_chunks(&split_at(&wire, &cuts));
+            prop_assert_eq!(split, whole, "cut at {:?}", cuts);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_and_draw_only_a_400_or_413(
+            (pieces, cut) in (
+                (0usize..=128).prop_flat_map(|n| {
+                    prop::collection::vec((0usize..2 * FRAGMENTS.len(), 0u8..=255), n)
+                }),
+                0usize..=1_024,
+            )
+        ) {
+            // Half the pieces are raw bytes, half fragments; at most 512 bytes in all.
+            let mut wire = Vec::new();
+            for (pick, byte) in pieces {
+                match FRAGMENTS.get(pick) {
+                    Some(fragment) => wire.extend_from_slice(fragment),
+                    None => wire.push(byte),
+                }
+            }
+            wire.truncate(512);
+            let (mut c, requests) = drive_chunks(&split_at(&wire, &[cut]));
+            let mut parsed = requests.len();
+            c.mark_peer_closed();
+            while c.next_request(1024).is_some() {
+                parsed += 1;
+                c.queue_response(200, "{}", None, http::CONTENT_TYPE_JSON);
+            }
+            let errors = c.take_errors();
+            prop_assert!(
+                errors.iter().all(|&status| status == 400 || status == 413),
+                "{errors:?} for {wire:?}"
+            );
+            if parsed == 0 && c.wants_write() {
+                let out = String::from_utf8_lossy(c.pending_write()).into_owned();
+                prop_assert!(
+                    out.starts_with("HTTP/1.1 400 ") || out.starts_with("HTTP/1.1 413 "),
+                    "{out}"
+                );
+            }
+        }
     }
 }

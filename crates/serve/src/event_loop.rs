@@ -1,5 +1,5 @@
 //! The readiness-based transport: one reactor thread multiplexing every connection over
-//! `surf_reactor::Poller`, feeding a handler pool through a [`WorkQueue`].
+//! `surf_reactor::Poller`, feeding a handler pool through a [`crate::queue::WorkQueue`].
 //!
 //! Division of labor:
 //!
@@ -36,7 +36,6 @@ use crate::conn::Connection;
 use crate::error::ServeError;
 use crate::http::{render_response, Request, CONTENT_TYPE_JSON};
 use crate::obs::ServeObs;
-use crate::queue::WorkQueue;
 use crate::routes::handle_request;
 use crate::server::ServeContext;
 
@@ -99,7 +98,6 @@ pub(crate) fn spawn_event_transport(
     listener: TcpListener,
     context: Arc<ServeContext>,
     shutdown: Arc<AtomicBool>,
-    jobs: Arc<WorkQueue<HandlerJob>>,
     settings: EventLoopSettings,
 ) -> Result<(Arc<Waker>, Vec<std::thread::JoinHandle<()>>), ServeError> {
     let poller = Poller::new()?;
@@ -111,11 +109,10 @@ pub(crate) fn spawn_event_transport(
     let mut threads = Vec::with_capacity(settings.workers + 1);
     for _ in 0..settings.workers {
         let context = Arc::clone(&context);
-        let jobs = Arc::clone(&jobs);
         let done = done_sender.clone();
         let waker = Arc::clone(&waker);
         threads.push(std::thread::spawn(move || {
-            handler_worker(&context, &jobs, &done, &waker);
+            handler_worker(&context, &done, &waker);
         }));
     }
     drop(done_sender); // only handlers hold senders; try_recv disconnects when they exit
@@ -126,7 +123,6 @@ pub(crate) fn spawn_event_transport(
         listener,
         context,
         shutdown,
-        jobs,
         completions: done_receiver,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
@@ -137,13 +133,8 @@ pub(crate) fn spawn_event_transport(
     Ok((waker, threads))
 }
 
-fn handler_worker(
-    context: &ServeContext,
-    jobs: &WorkQueue<HandlerJob>,
-    completions: &mpsc::Sender<Completion>,
-    waker: &Waker,
-) {
-    while let Some(mut job) = jobs.pop() {
+fn handler_worker(context: &ServeContext, completions: &mpsc::Sender<Completion>, waker: &Waker) {
+    while let Some(mut job) = context.jobs.pop() {
         // Time between the reactor parsing the request and a handler picking it up.
         context
             .obs
@@ -154,9 +145,6 @@ fn handler_worker(
         if let Some(trace) = job.trace.take() {
             let _ = surf_obs::trace::install(trace);
         }
-        // Register with the coalescing queue for the span of the dispatch, so gathering
-        // rounds know how many heavy requests can still contribute rows.
-        let _flight = context.batch.as_ref().map(|batch| batch.flight());
         let reply = handle_request(context, &job.request);
         context.obs.finish_trace(surf_obs::trace::take());
         context
@@ -182,7 +170,6 @@ struct Reactor {
     listener: TcpListener,
     context: Arc<ServeContext>,
     shutdown: Arc<AtomicBool>,
-    jobs: Arc<WorkQueue<HandlerJob>>,
     completions: mpsc::Receiver<Completion>,
     conns: HashMap<u64, ConnEntry>,
     next_token: u64,
@@ -326,7 +313,6 @@ impl Reactor {
                     token,
                     entry,
                     &self.context,
-                    &self.jobs,
                     self.settings.max_body_bytes,
                     self.settings.max_pending_requests,
                 );
@@ -390,7 +376,7 @@ impl Reactor {
     /// Post-shutdown: stop admitting work, let in-flight handlers finish, flush what is
     /// buffered — bounded by [`DRAIN_DEADLINE`].
     fn drain_gracefully(&mut self) {
-        self.jobs.close();
+        self.context.jobs.close();
         let deadline = Instant::now() + DRAIN_DEADLINE;
         loop {
             self.attach_completions();
@@ -418,7 +404,6 @@ fn process_requests(
     token: u64,
     entry: &mut ConnEntry,
     context: &ServeContext,
-    jobs: &WorkQueue<HandlerJob>,
     max_body_bytes: usize,
     max_pending: u64,
 ) {
@@ -450,8 +435,8 @@ fn process_requests(
         if heavy {
             let path = request.path.clone();
             let accepted = Instant::now();
-            let admitted = jobs.len() < max_pending
-                && jobs.push(HandlerJob {
+            let admitted = context.jobs.len() < max_pending
+                && context.jobs.push(HandlerJob {
                     token,
                     request,
                     accepted,

@@ -3,16 +3,18 @@
 //!
 //! Hand-rolled for the same reason the workspace vendors serde: the build environment has no
 //! route to a crates registry. Only the slice of HTTP/1.1 the subsystem needs is implemented:
-//! `Content-Length` bodies (no chunked transfer), JSON payloads, persistent connections
-//! (keep-alive by default for HTTP/1.1, honoring `Connection: close`), and hard limits on
-//! header and body sizes so a misbehaving client cannot balloon server memory.
+//! `Content-Length` bodies, JSON payloads, persistent connections (keep-alive by default
+//! for HTTP/1.1, honoring `Connection: close`), and hard limits on header and body sizes so
+//! a misbehaving client cannot balloon server memory. Framing a server could read two ways
+//! is refused rather than guessed at (RFC 9112 §6.3): a `Transfer-Encoding` header, a
+//! `Content-Length` that is not plain digits, or two `Content-Length` headers that
+//! disagree are all a `400`.
 //!
 //! The core of the module is [`parse_request`], an *incremental* parser over a byte buffer:
 //! it either produces a complete request plus the number of bytes it consumed, reports that
 //! more bytes are needed, or flags an oversized declared body for draining. The event-loop
-//! transport calls it directly on per-connection buffers (which is what makes pipelining
-//! work: whatever follows a parsed request in the buffer is simply the next request); the
-//! blocking transport wraps it in the read-until-complete loop of [`read_request`].
+//! transport calls it on per-connection buffers, which is what makes pipelining work:
+//! whatever follows a parsed request in the buffer is simply the next request.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -66,8 +68,8 @@ pub enum Parsed {
 /// # Errors
 ///
 /// [`ServeError::BadRequest`] for malformed requests: oversized or non-UTF-8 headers, an
-/// unparseable request line or `Content-Length`, an unsupported protocol version, or a
-/// non-UTF-8 body.
+/// unparseable request line or `Content-Length`, conflicting `Content-Length` headers, a
+/// `Transfer-Encoding` header, an unsupported protocol version, or a non-UTF-8 body.
 pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, ServeError> {
     let Some(header_end) = find_header_end(buffer) else {
         if buffer.len() > MAX_HEADER_BYTES {
@@ -99,7 +101,7 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 defaults to close.
     let mut close = version == "HTTP/1.0";
     for line in lines {
@@ -107,9 +109,18 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
             let name = name.trim();
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| {
-                    ServeError::BadRequest(format!("unparseable Content-Length `{value}`"))
-                })?;
+                let length = parse_content_length(value)?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(ServeError::BadRequest(
+                        "conflicting Content-Length headers".into(),
+                    ));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                // Ignoring it would read a chunked body as the next pipelined request.
+                return Err(ServeError::BadRequest(format!(
+                    "Transfer-Encoding `{value}` is not supported; send a Content-Length body"
+                )));
             } else if name.eq_ignore_ascii_case("connection") {
                 if value.eq_ignore_ascii_case("close") {
                     close = true;
@@ -120,6 +131,7 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     let body_start = header_end + 4;
     if content_length > max_body_bytes {
         return Ok(Parsed::Oversized {
@@ -145,55 +157,14 @@ pub fn parse_request(buffer: &[u8], max_body_bytes: usize) -> Result<Parsed, Ser
     })
 }
 
-/// Reads and parses one request from a blocking stream, enforcing the body-size limit.
-/// This is [`parse_request`] wrapped in a read-until-complete loop — the blocking
-/// transport's entry point.
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] for malformed or truncated requests (oversized headers,
-/// connection closed mid-request, non-UTF-8 body, unparseable request line);
-/// [`ServeError::PayloadTooLarge`] when the declared body exceeds `max_body_bytes`;
-/// [`ServeError::Io`] for socket errors.
-pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request, ServeError> {
-    let mut buffer: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buffer, max_body_bytes)? {
-            Parsed::Complete { request, .. } => return Ok(request),
-            Parsed::Oversized {
-                consumed,
-                body_bytes,
-            } => {
-                // Consume (and discard) the oversized body before erroring. Closing with
-                // unread bytes in the receive buffer makes the kernel send RST, which would
-                // tear the 413 response away from the client. The drain is bounded: past
-                // the cap we give up and accept the reset.
-                const DRAIN_LIMIT: usize = 8 * 1024 * 1024;
-                let mut remaining = body_bytes
-                    .min(DRAIN_LIMIT)
-                    .saturating_sub(buffer.len() - consumed);
-                while remaining > 0 {
-                    match stream.read(&mut chunk) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => remaining = remaining.saturating_sub(n),
-                    }
-                }
-                return Err(ServeError::PayloadTooLarge {
-                    limit_bytes: max_body_bytes,
-                });
-            }
-            Parsed::Partial => {
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(ServeError::BadRequest(
-                        "connection closed mid-request".into(),
-                    ));
-                }
-                buffer.extend_from_slice(&chunk[..n]);
-            }
-        }
-    }
+/// A `Content-Length` value: ASCII digits only. `usize::from_str` alone would also take a
+/// leading `+`.
+fn parse_content_length(value: &str) -> Result<usize, ServeError> {
+    let digits_only = value.bytes().all(|b| b.is_ascii_digit());
+    digits_only
+        .then(|| value.parse().ok())
+        .flatten()
+        .ok_or_else(|| ServeError::BadRequest(format!("unparseable Content-Length `{value}`")))
 }
 
 fn find_header_end(buffer: &[u8]) -> Option<usize> {
@@ -224,31 +195,6 @@ pub fn render_response(
         status_text(status),
         body.len(),
     )
-}
-
-/// Writes one response and flushes it; the connection is marked `Connection: close`
-/// (the blocking transport serves one request per connection). A 503 body carries
-/// `Retry-After: 1`.
-///
-/// # Errors
-///
-/// Any socket error from writing or flushing (the caller logs-and-drops: by this point
-/// there is no channel left to answer on).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    content_type: &str,
-) -> std::io::Result<()> {
-    let rendered = render_response(
-        status,
-        body,
-        false,
-        (status == 503).then_some(1),
-        content_type,
-    );
-    stream.write_all(rendered.as_bytes())?;
-    stream.flush()
 }
 
 /// Reason phrases for the status codes the subsystem emits.
@@ -552,6 +498,50 @@ mod tests {
         );
         let long = vec![b'x'; MAX_HEADER_BYTES + 8];
         assert!(parse_request(&long, 1024).is_err(), "oversized headers");
+    }
+
+    fn bad_request(wire: &[u8]) -> String {
+        match parse_request(wire, 1024) {
+            Err(ServeError::BadRequest(message)) => message,
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let wire = b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}abc";
+        assert!(bad_request(wire).contains("conflicting Content-Length"));
+        // Repeating the same value frames the body one way only, so it stays accepted.
+        let repeated =
+            b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        assert!(matches!(
+            parse_request(repeated, 1024).unwrap(),
+            Parsed::Complete { consumed, .. } if consumed == repeated.len()
+        ));
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected() {
+        assert_eq!(
+            "+5".parse::<usize>().ok(),
+            Some(5),
+            "from_str alone takes the sign"
+        );
+        let wire = b"POST /predict HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+        assert!(bad_request(wire).contains("unparseable Content-Length"));
+        let empty = b"POST /predict HTTP/1.1\r\nContent-Length:\r\n\r\n";
+        assert!(bad_request(empty).contains("unparseable Content-Length"));
+    }
+
+    #[test]
+    fn transfer_encoding_is_rejected() {
+        // Ignored, the chunked body below would parse as a second pipelined request.
+        let wire = b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                     2\r\n{}\r\n0\r\n\r\n";
+        assert!(bad_request(wire).contains("Transfer-Encoding"));
+        let with_length =
+            b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\n{}";
+        assert!(bad_request(with_length).contains("Transfer-Encoding"));
     }
 
     #[test]

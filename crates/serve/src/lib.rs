@@ -17,12 +17,12 @@
 //!   counters.
 //! * [`server`] + [`routes`] — a dependency-free HTTP/1.1 JSON API over `std::net`: `POST
 //!   /predict` (single + batched region queries), `POST /mine` (GSO mining), `GET /models`,
-//!   `GET /healthz` and `GET /stats`. The default transport is a readiness-based epoll
+//!   `GET /healthz` and `GET /stats`. One transport serves them: a readiness-based epoll
 //!   event loop (built on the in-tree `surf-reactor` crate) with keep-alive, pipelining,
-//!   idle timeouts and bounded-queue admission control; the original blocking worker pool
-//!   survives as [`server::TransportMode::Blocking`]. A [`coalesce`] queue fuses concurrent
-//!   surrogate evaluations into shared compiled-ensemble batches with bit-identical
-//!   results. Errors map onto structured JSON bodies via [`error::ServeError`].
+//!   idle timeouts and bounded-queue admission control. A `/predict` handler calls the
+//!   model's `Surrogate::predict_batch` directly and a `/mine` handler calls
+//!   `Surf::mine_with`, so a served answer is the in-process answer. Errors map onto
+//!   structured JSON bodies via [`error::ServeError`].
 //!
 //! The `surf-serve` binary wires the layers into `train` / `serve` / `query` subcommands; see
 //! the crate README section and `examples/serve.rs` for the full train → save → serve → query
@@ -45,7 +45,6 @@
 
 pub mod artifact;
 pub mod cache;
-pub mod coalesce;
 mod conn;
 pub mod error;
 mod event_loop;
@@ -58,9 +57,8 @@ pub mod server;
 
 pub use artifact::{ModelArtifact, SCHEMA_VERSION};
 pub use cache::{CacheConfig, CacheStats, PredictionCache};
-pub use coalesce::{BatchQueue, CloseCauses, CoalesceConfig, CoalesceStats};
 pub use error::ServeError;
 pub use obs::ServeObs;
 pub use registry::{ModelInfo, ModelRegistry, ServableModel};
-pub use server::{serve, ServeContext, ServerConfig, ServerHandle, TransportMode};
+pub use server::{serve, ServeContext, ServerConfig, ServerHandle};
 pub use surf_obs::ObsConfig;

@@ -4,14 +4,14 @@
 //! One [`ServeObs`] is owned by each [`ServeContext`] — servers in the same process (the
 //! e2e suite runs several) never share counters. The registry is the **single source of
 //! truth**: `/stats` reads the same instruments `/metrics` renders, and component
-//! counters that predate this module (cache, coalescing queue, job queue) are appended to
-//! the snapshot as adapter families so every number `/stats` serves has a Prometheus
-//! series with a stable name.
+//! counters that predate this module (cache, job queue) are appended to the snapshot as
+//! adapter families so every number `/stats` serves has a Prometheus series with a stable
+//! name.
 //!
 //! Cost model: counters and gauges are always recorded — they are the same relaxed
 //! atomics the `/stats` endpoint has always been built on. What [`ObsConfig::metrics`]
 //! gates is the *new* clock reads behind the latency-breakdown histograms
-//! (`recv_parse`, `queue_wait`, `batch_wait`, `kernel`, `write_flush`), via the
+//! (`recv_parse`, `queue_wait`, `kernel`, `write_flush`), via the
 //! [`ServeObs::timer`] → [`ServeObs::observe`] pair whose disabled path never touches the
 //! clock. [`ObsConfig::tracing`] independently gates the flight recorder's sampled
 //! per-request traces.
@@ -82,7 +82,7 @@ impl RouteStats {
 }
 
 /// The `predict_batch` wall-time histogram family (`surf_serve_kernel_nanos`), one series
-/// per inference engine — solo and fused calls alike observe into the series of the
+/// per inference engine — every `/predict` evaluation observes into the series of the
 /// engine that actually ran, so a deployment mixing quickscorer and compiled models can
 /// attribute kernel time per engine. All three series are registered up front (standard
 /// pre-declared label values), so `/metrics` exposes the family's full label space from
@@ -121,7 +121,7 @@ impl KernelStats {
         let series = |engine: InferenceEngine| {
             registry.histogram_with(
                 "surf_serve_kernel_nanos",
-                "predict_batch wall time (solo and fused calls alike), by inference engine and simd kernel",
+                "predict_batch wall time of a /predict evaluation, by inference engine and simd kernel",
                 bounds,
                 &[("engine", engine.label()), ("kernel", engine_kernel(engine))],
             )
@@ -155,14 +155,11 @@ pub struct ServeObs {
     pub mine: RouteStats,
     /// Counters for every other route (listings, health, stats, metrics, errors).
     pub other: RouteStats,
-    /// First request byte to complete parse (event loop; read-until-parsed under the
-    /// blocking transport).
+    /// First request byte to complete parse.
     pub recv_parse: Arc<Histogram>,
     /// Parsed request to handler-pool dequeue.
     pub queue_wait: Arc<Histogram>,
-    /// Coalescing submission to fuse start (recorded by the batcher).
-    pub batch_wait: Arc<Histogram>,
-    /// `predict_batch` wall time (solo and fused calls alike), labelled by engine.
+    /// `predict_batch` wall time of a `/predict` evaluation, labelled by engine.
     pub kernel: KernelStats,
     /// One reactor write-flush pass over a connection with pending bytes.
     pub write_flush: Arc<Histogram>,
@@ -199,11 +196,6 @@ impl ServeObs {
             queue_wait: registry.histogram(
                 "surf_serve_queue_wait_nanos",
                 "Parsed heavy request to handler-pool dequeue",
-                &bounds,
-            ),
-            batch_wait: registry.histogram(
-                "surf_serve_batch_wait_nanos",
-                "Coalescing submission to fuse start (the gathering-window wait)",
                 &bounds,
             ),
             kernel: KernelStats::new(&registry, &bounds),
@@ -244,7 +236,7 @@ impl ServeObs {
         &self.config
     }
 
-    /// The flight recorder (`/trace` reads it; transports finish traces into it).
+    /// The flight recorder (`/trace` reads it; the transport finishes traces into it).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
@@ -299,8 +291,8 @@ impl ServeObs {
 }
 
 /// Assembles the full `/metrics` snapshot for a server: the serve registry, adapter
-/// families for the component counters that keep their own atomics (cache, coalescing
-/// queue, job queue, uptime), and the process-wide [`surf_obs::global`] registry
+/// families for the component counters that keep their own atomics (cache, job queue,
+/// uptime), and the process-wide [`surf_obs::global`] registry
 /// (training/mining spans). Deterministically ordered.
 pub fn metrics_snapshot(context: &ServeContext) -> Snapshot {
     let mut snapshot = context.obs.registry.snapshot();
@@ -393,97 +385,6 @@ pub fn metrics_snapshot(context: &ServeContext) -> Snapshot {
         "Prediction-cache entries currently resident",
         &[],
         cache.entries as i64,
-    );
-
-    let coalesce = context.coalesce_stats();
-    snapshot.push_gauge(
-        "surf_serve_coalesce_enabled",
-        "Whether a coalescing queue is running (1/0)",
-        &[],
-        i64::from(coalesce.enabled),
-    );
-    snapshot.push_gauge(
-        "surf_serve_coalesce_pending_rows",
-        "Rows gathered but not yet fused",
-        &[],
-        coalesce.pending_rows as i64,
-    );
-    snapshot.push_counter(
-        "surf_serve_coalesce_fused_batches_total",
-        "Fused predict_batch calls issued",
-        &[],
-        coalesce.fused_batches,
-    );
-    snapshot.push_counter(
-        "surf_serve_coalesce_fused_jobs_total",
-        "Submissions served through fused predict_batch calls",
-        &[],
-        coalesce.fused_jobs,
-    );
-    snapshot.push_counter(
-        "surf_serve_coalesce_fused_rows_total",
-        "Rows evaluated through fused predict_batch calls",
-        &[],
-        coalesce.fused_rows,
-    );
-    snapshot.push_gauge(
-        "surf_serve_coalesce_max_batch_rows",
-        "Largest single fused batch seen, in rows",
-        &[],
-        coalesce.max_batch_rows as i64,
-    );
-    let close_help = "Gathering-window closes, by cause";
-    let close_name = "surf_serve_coalesce_batch_close_total";
-    snapshot.push_counter(
-        close_name,
-        close_help,
-        &[("cause", "window")],
-        coalesce.close_causes.window,
-    );
-    snapshot.push_counter(
-        close_name,
-        close_help,
-        &[("cause", "rows")],
-        coalesce.close_causes.rows,
-    );
-    snapshot.push_counter(
-        close_name,
-        close_help,
-        &[("cause", "waiters")],
-        coalesce.close_causes.waiters,
-    );
-    snapshot.push_counter(
-        close_name,
-        close_help,
-        &[("cause", "shutdown")],
-        coalesce.close_causes.shutdown,
-    );
-    // The batch-size distribution re-expressed as a Prometheus histogram: per-batch row
-    // counts are the observations, so sum = fused rows and count = fused batches.
-    let bounds: Vec<u64> = coalesce
-        .batch_rows_histogram
-        .iter()
-        .map(|b| b.le_rows)
-        .filter(|&le| le != u64::MAX)
-        .collect();
-    let mut counts: Vec<u64> = coalesce
-        .batch_rows_histogram
-        .iter()
-        .map(|b| b.batches)
-        .collect();
-    if coalesce.batch_rows_histogram.is_empty() {
-        counts = vec![0];
-    }
-    snapshot.push_histogram(
-        "surf_serve_coalesce_batch_rows",
-        "Rows per fused predict_batch call",
-        &[],
-        surf_obs::metrics::HistogramSnapshot {
-            count: counts.iter().sum(),
-            sum: coalesce.fused_rows,
-            bounds,
-            counts,
-        },
     );
 
     snapshot.merge(surf_obs::global().registry.snapshot());

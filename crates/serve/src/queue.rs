@@ -1,8 +1,7 @@
 //! A Condvar-backed multi-producer/multi-consumer work queue.
 //!
-//! Both transports hand work to their thread pools through this queue: the blocking
-//! transport pushes accepted `TcpStream`s, the event-loop transport pushes parsed handler
-//! jobs. Compared to the `mpsc`-receiver-under-a-mutex handoff it replaces, the Condvar
+//! The event-loop transport hands parsed heavy requests to its handler pool through this
+//! queue. Compared to the `mpsc`-receiver-under-a-mutex handoff it replaces, the Condvar
 //! design keeps all blocking *inside* `Condvar::wait` (no blocking call ever runs under a
 //! live guard), exposes an O(1) lock-free [`WorkQueue::len`] for admission control and
 //! `/stats`, and needs no lint escape hatch.

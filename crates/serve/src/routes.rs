@@ -23,7 +23,6 @@ use surf_data::statistic::Statistic;
 use surf_obs::TraceSample;
 
 use crate::cache::CacheStats;
-use crate::coalesce::{CoalesceStats, QueuedSurrogate};
 use crate::error::ServeError;
 use crate::http::{Request, CONTENT_TYPE_JSON, CONTENT_TYPE_METRICS};
 use crate::registry::{ModelEngineStats, ModelInfo};
@@ -157,8 +156,6 @@ pub struct StatsResponse {
     pub uptime_secs: u64,
     /// Worker-pool size.
     pub workers: usize,
-    /// The running transport (`"blocking"` or `"event_loop"`).
-    pub transport: String,
     /// Currently open client connections.
     pub open_connections: u64,
     /// Requests served over a reused keep-alive connection.
@@ -169,8 +166,6 @@ pub struct StatsResponse {
     pub admission_rejects: u64,
     /// Prediction-cache counters.
     pub cache: CacheStats,
-    /// Coalescing-queue counters (batch-size histogram included).
-    pub coalesce: CoalesceStats,
     /// Per-model inference-engine facts (engine label, QuickScorer compile time) — the
     /// same registry view behind the `surf_qs_compile_seconds` gauges in `/metrics`.
     pub engines: Vec<ModelEngineStats>,
@@ -277,13 +272,11 @@ fn stats(context: &ServeContext) -> Result<String, ServeError> {
     to_json(&StatsResponse {
         uptime_secs: context.started.elapsed().as_secs(),
         workers: context.workers,
-        transport: context.transport.label().to_string(),
         open_connections: obs.open_connections.get().max(0) as u64,
         keepalive_reuses: obs.keepalive_reuses.get(),
         queue_depth: context.queue_depth(),
         admission_rejects: obs.admission_rejects(),
         cache: context.cache.stats(),
-        coalesce: context.coalesce_stats(),
         engines: context.registry.engine_stats()?,
         predict: obs.predict.snapshot(),
         mine: obs.mine.snapshot(),
@@ -349,8 +342,6 @@ fn predict(context: &ServeContext, body: &str) -> Result<String, ServeError> {
         }
     }
     if !miss_regions.is_empty() {
-        // Through the coalescing queue when one is running: this request's misses fuse with
-        // concurrent traffic into one compiled-ensemble pass, with bit-identical values.
         let values = context.evaluate_regions(&model, &miss_regions);
         let mut inserted = vec![false; miss_regions.len()];
         for (slot, index) in pending {
@@ -394,17 +385,7 @@ fn mine(context: &ServeContext, body: &str) -> Result<String, ServeError> {
         Some(spec) => spec.to_threshold()?,
         None => model.engine.config().threshold,
     };
-    // With a coalescing queue running, mining evaluates through a transport wrapper that
-    // fuses each GSO iteration's whole-swarm batch with concurrent requests — the outcome
-    // is bit-identical to `mine_with` (fused per-row evaluation is bit-identical, and the
-    // mining policy itself is unchanged).
-    let mut outcome = match &context.batch {
-        Some(queue) => {
-            let wrapped = QueuedSurrogate::new(&model, queue);
-            model.engine.mine_with_surrogate(threshold, &wrapped)
-        }
-        None => model.engine.mine_with(threshold),
-    };
+    let mut outcome = model.engine.mine_with(threshold);
     if let Some(top) = request.top {
         outcome.regions.truncate(top);
     }

@@ -1,8 +1,7 @@
 //! End-to-end tests of the observability surface over real TCP: `/metrics` serves valid
-//! Prometheus text whose breakdown histograms were actually recorded by the transports,
+//! Prometheus text whose breakdown histograms were actually recorded by the transport,
 //! `/stats` agrees with `/metrics` (they are two views over the same registry), the
-//! flight recorder serves traces on `/trace`, the blocking transport records the same
-//! span names and histograms as the event loop, and a served `/mine` reaches the
+//! flight recorder serves traces on `/trace`, and a served `/mine` reaches the
 //! process-global mining instruments.
 
 use std::sync::Arc;
@@ -19,10 +18,7 @@ use surf_optim::gso::GsoParams;
 use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
 use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec, StatsResponse};
-use surf_serve::{
-    serve, CoalesceConfig, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle,
-    TransportMode,
-};
+use surf_serve::{serve, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
 
 fn quick_engine(seed: u64) -> Surf {
     quick_engine_with(seed, InferenceEngine::Compiled)
@@ -57,15 +53,13 @@ fn start(engine: &Surf, config: ServerConfig) -> ServerHandle {
 
 /// Cache off so every `/predict` reaches the surrogate; trace sampling pinned to every
 /// request so the flight recorder's contents are deterministic.
-fn obs_config(transport: TransportMode) -> ServerConfig {
+fn obs_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
         cache: CacheConfig {
             capacity: 0,
             ..CacheConfig::default()
         },
-        transport,
-        coalesce: CoalesceConfig::default(),
         obs: ObsConfig {
             trace_sample_every: 1,
             ..ObsConfig::default()
@@ -147,7 +141,7 @@ fn labeled(samples: &[expo::Sample], name: &str, key: &str, label: &str) -> f64 
 #[test]
 fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
     let engine = quick_engine(41);
-    let handle = start(&engine, obs_config(TransportMode::EventLoop));
+    let handle = start(&engine, obs_config());
     let addr = handle.addr().to_string();
 
     let (samples, stats, _body) = drive_and_scrape(&addr);
@@ -156,7 +150,6 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
     for stage in [
         "surf_serve_recv_parse_nanos_count",
         "surf_serve_queue_wait_nanos_count",
-        "surf_serve_batch_wait_nanos_count",
         "surf_serve_write_flush_nanos_count",
     ] {
         assert!(
@@ -228,41 +221,6 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
         value(&samples, "surf_serve_keepalive_reuses_total"),
         (stats.keepalive_reuses + 1) as f64
     );
-    assert_eq!(
-        value(&samples, "surf_serve_coalesce_fused_jobs_total"),
-        stats.coalesce.fused_jobs as f64
-    );
-    let close_total = labeled(
-        &samples,
-        "surf_serve_coalesce_batch_close_total",
-        "cause",
-        "window",
-    ) + labeled(
-        &samples,
-        "surf_serve_coalesce_batch_close_total",
-        "cause",
-        "rows",
-    ) + labeled(
-        &samples,
-        "surf_serve_coalesce_batch_close_total",
-        "cause",
-        "waiters",
-    ) + labeled(
-        &samples,
-        "surf_serve_coalesce_batch_close_total",
-        "cause",
-        "shutdown",
-    );
-    let causes = stats.coalesce.close_causes;
-    assert_eq!(
-        close_total,
-        (causes.window + causes.rows + causes.waiters + causes.shutdown) as f64
-    );
-    assert!(
-        close_total >= 1.0,
-        "coalesced traffic must close at least one gathering round"
-    );
-
     // The process-global training spans ride along in the same exposition (the engine
     // above was trained in this process).
     assert!(
@@ -279,7 +237,7 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
 #[test]
 fn mine_records_gso_passes_and_density_weights() {
     let engine = quick_engine(61);
-    let handle = start(&engine, obs_config(TransportMode::EventLoop));
+    let handle = start(&engine, obs_config());
     let addr = handle.addr().to_string();
 
     let mut client = HttpClient::connect(&addr).unwrap();
@@ -333,7 +291,7 @@ fn mine_records_gso_passes_and_density_weights() {
 #[test]
 fn quickscorer_engine_records_compile_gauge_and_labelled_kernel() {
     let engine = quick_engine_with(59, InferenceEngine::QuickScorer);
-    let handle = start(&engine, obs_config(TransportMode::EventLoop));
+    let handle = start(&engine, obs_config());
     let addr = handle.addr().to_string();
 
     let (samples, stats, _body) = drive_and_scrape(&addr);
@@ -376,7 +334,7 @@ fn quickscorer_engine_records_compile_gauge_and_labelled_kernel() {
 #[test]
 fn trace_endpoint_serves_sampled_spans() {
     let engine = quick_engine(43);
-    let handle = start(&engine, obs_config(TransportMode::EventLoop));
+    let handle = start(&engine, obs_config());
     let addr = handle.addr().to_string();
 
     let mut client = HttpClient::connect(&addr).unwrap();
@@ -409,7 +367,7 @@ fn trace_endpoint_serves_sampled_spans() {
         .iter()
         .filter_map(|s| s.get("name").and_then(Value::as_str))
         .collect();
-    for expected in ["recv_parse", "queue_wait", "coalesce_evaluate", "serialize"] {
+    for expected in ["recv_parse", "queue_wait", "kernel", "serialize"] {
         assert!(
             span_names.contains(&expected),
             "span `{expected}` missing from {span_names:?}"
@@ -419,51 +377,9 @@ fn trace_endpoint_serves_sampled_spans() {
 }
 
 #[test]
-fn blocking_transport_records_the_same_breakdown() {
-    let engine = quick_engine(47);
-    let handle = start(&engine, obs_config(TransportMode::Blocking));
-    let addr = handle.addr().to_string();
-
-    // The blocking transport closes after each response; use one connection per request.
-    let regions = probe_regions(9, 2);
-    for _ in 0..3 {
-        let mut client = HttpClient::connect(&addr).unwrap();
-        let response = client
-            .request("POST", "/predict", Some(&predict_body(&regions)))
-            .unwrap();
-        assert_eq!(response.status, 200);
-    }
-    let mut client = HttpClient::connect(&addr).unwrap();
-    let metrics = client.request("GET", "/metrics", None).unwrap();
-    expo::validate(&metrics.body)
-        .unwrap_or_else(|violations| panic!("invalid exposition: {violations:?}"));
-    let samples = expo::parse(&metrics.body).unwrap();
-    for stage in [
-        "surf_serve_recv_parse_nanos_count",
-        "surf_serve_queue_wait_nanos_count",
-        "surf_serve_write_flush_nanos_count",
-    ] {
-        assert!(
-            value(&samples, stage) > 0.0,
-            "{stage} must be recorded by the blocking transport too"
-        );
-    }
-    assert!(
-        labeled(
-            &samples,
-            "surf_serve_kernel_nanos_count",
-            "engine",
-            "compiled"
-        ) > 0.0,
-        "the per-engine kernel histogram must be recorded by the blocking transport too"
-    );
-    handle.shutdown();
-}
-
-#[test]
 fn disabled_observability_still_serves_consistent_endpoints() {
     let engine = quick_engine(53);
-    let mut config = obs_config(TransportMode::EventLoop);
+    let mut config = obs_config();
     config.obs = ObsConfig::disabled();
     let handle = start(&engine, config);
     let addr = handle.addr().to_string();

@@ -1,8 +1,7 @@
 //! End-to-end tests of the event-loop transport over real TCP: keep-alive reuse,
 //! pipelining, slow/partial clients hitting the idle timeout, oversized-body draining,
-//! admission control, and — the load-bearing invariant of the coalescing queue —
-//! bit-identity of coalesced responses against both solo evaluation and the blocking
-//! baseline transport.
+//! admission control, and bit-identity of responses served to concurrent clients against
+//! in-process `predict_batch`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,12 +14,8 @@ use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_optim::gso::GsoParams;
 use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
-use surf_serve::routes::{
-    MineResponse, PredictRequest, PredictResponse, RegionSpec, StatsResponse,
-};
-use surf_serve::{
-    serve, CoalesceConfig, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle, TransportMode,
-};
+use surf_serve::routes::{PredictRequest, PredictResponse, RegionSpec, StatsResponse};
+use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
 
 fn quick_engine(seed: u64) -> Surf {
     let synthetic = SyntheticDataset::generate(
@@ -48,16 +43,14 @@ fn start(engine: &Surf, config: ServerConfig) -> ServerHandle {
     serve(registry, &config).unwrap()
 }
 
-/// An event-loop server with the cache off, so every `/predict` exercises the surrogate.
-fn event_config(coalesce: CoalesceConfig) -> ServerConfig {
+/// A server with the cache off, so every `/predict` exercises the surrogate.
+fn event_config() -> ServerConfig {
     ServerConfig {
         workers: 4,
         cache: CacheConfig {
             capacity: 0,
             ..CacheConfig::default()
         },
-        transport: TransportMode::EventLoop,
-        coalesce,
         ..ServerConfig::default()
     }
 }
@@ -90,7 +83,7 @@ fn probe_regions(offset: usize, count: usize) -> Vec<Region> {
 #[test]
 fn keep_alive_connection_serves_a_request_sequence() {
     let engine = quick_engine(31);
-    let handle = start(&engine, event_config(CoalesceConfig::default()));
+    let handle = start(&engine, event_config());
     let addr = handle.addr().to_string();
 
     let mut client = HttpClient::connect(&addr).unwrap();
@@ -109,7 +102,6 @@ fn keep_alive_connection_serves_a_request_sequence() {
 
     let stats: StatsResponse =
         serde_json::from_str(&client.request("GET", "/stats", None).unwrap().body).unwrap();
-    assert_eq!(stats.transport, "event_loop");
     assert!(
         stats.keepalive_reuses >= 5,
         "six requests on one connection should count ≥5 reuses, got {}",
@@ -122,7 +114,7 @@ fn keep_alive_connection_serves_a_request_sequence() {
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let engine = quick_engine(33);
-    let handle = start(&engine, event_config(CoalesceConfig::default()));
+    let handle = start(&engine, event_config());
     let addr = handle.addr().to_string();
 
     let first = probe_regions(0, 1);
@@ -165,7 +157,7 @@ fn pipelined_requests_are_answered_in_order() {
 #[test]
 fn slowloris_partial_header_is_cut_off_by_the_idle_timeout() {
     let engine = quick_engine(35);
-    let mut config = event_config(CoalesceConfig::default());
+    let mut config = event_config();
     config.idle_timeout_ms = 200;
     let handle = start(&engine, config);
     let addr = handle.addr().to_string();
@@ -187,7 +179,7 @@ fn slowloris_partial_header_is_cut_off_by_the_idle_timeout() {
 #[test]
 fn oversized_body_is_drained_and_answered_413() {
     let engine = quick_engine(37);
-    let mut config = event_config(CoalesceConfig::default());
+    let mut config = event_config();
     config.max_body_bytes = 16 * 1024;
     let handle = start(&engine, config);
     let addr = handle.addr().to_string();
@@ -212,7 +204,7 @@ fn oversized_body_is_drained_and_answered_413() {
 #[test]
 fn admission_control_answers_503_with_retry_after() {
     let engine = quick_engine(39);
-    let mut config = event_config(CoalesceConfig::default());
+    let mut config = event_config();
     config.max_pending_requests = 0; // every heavy request is over capacity
     let handle = start(&engine, config);
     let addr = handle.addr().to_string();
@@ -242,46 +234,18 @@ fn admission_control_answers_503_with_retry_after() {
     handle.shutdown();
 }
 
-/// The acceptance invariant of the coalescing queue: responses produced under concurrent,
-/// coalesced load are bit-identical to solo in-process evaluation AND to the blocking
-/// baseline transport answering the same requests.
+/// Concurrent cache-off clients asking for distinct regions each get exactly the bits an
+/// in-process `predict_batch` over their own regions returns.
 #[test]
-fn coalesced_responses_are_bit_identical_to_solo_and_blocking_baseline() {
+fn concurrent_responses_are_bit_identical_to_in_process_predict_batch() {
     let engine = quick_engine(41);
-    // Wide window so concurrent submissions actually fuse.
-    let coalescing = start(
-        &engine,
-        event_config(CoalesceConfig {
-            enabled: true,
-            window_micros: 20_000,
-            max_batch_rows: 4_096,
-            batchers: 1,
-        }),
-    );
-    let baseline = start(
-        &engine,
-        ServerConfig {
-            workers: 4,
-            cache: CacheConfig {
-                capacity: 0,
-                ..CacheConfig::default()
-            },
-            transport: TransportMode::Blocking,
-            coalesce: CoalesceConfig {
-                enabled: false,
-                ..CoalesceConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    );
-    let coalescing_addr = coalescing.addr().to_string();
-    let baseline_addr = baseline.addr().to_string();
+    let handle = start(&engine, event_config());
+    let addr = handle.addr().to_string();
 
-    let clients = 6usize;
-    let fused: Vec<(Vec<Region>, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
+    let served: Vec<(Vec<Region>, Vec<f64>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..6)
             .map(|k| {
-                let addr = coalescing_addr.clone();
+                let addr = addr.clone();
                 scope.spawn(move || {
                     let regions = probe_regions(k * 10, 3);
                     let mut client = HttpClient::connect(&addr).unwrap();
@@ -297,68 +261,23 @@ fn coalesced_responses_are_bit_identical_to_solo_and_blocking_baseline() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    for (regions, coalesced) in &fused {
-        let solo = engine.surrogate().predict_batch(regions);
-        let baseline_response = surf_serve::http::http_request(
-            &baseline_addr,
-            "POST",
-            "/predict",
-            Some(&predict_body(regions)),
-        )
-        .unwrap();
-        assert_eq!(baseline_response.0, 200);
-        let baseline_parsed: PredictResponse = serde_json::from_str(&baseline_response.1).unwrap();
-        for ((c, s), b) in coalesced
-            .iter()
-            .zip(&solo)
-            .zip(&baseline_parsed.predictions)
-        {
-            assert_eq!(c.to_bits(), s.to_bits(), "coalesced != solo");
-            assert_eq!(c.to_bits(), b.to_bits(), "coalesced != blocking baseline");
-        }
+    for (regions, predictions) in &served {
+        let local = engine.surrogate().predict_batch(regions);
+        let served_bits: Vec<u64> = predictions.iter().map(|v| v.to_bits()).collect();
+        let local_bits: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            served_bits, local_bits,
+            "served != in-process predict_batch"
+        );
     }
-
-    // The queue really fused cross-request work (not a vacuous pass).
-    let stats: StatsResponse = serde_json::from_str(
-        &surf_serve::http::http_request(&coalescing_addr, "GET", "/stats", None)
-            .unwrap()
-            .1,
-    )
-    .unwrap();
-    assert!(stats.coalesce.enabled);
-    assert_eq!(stats.coalesce.fused_jobs, clients as u64);
-    assert_eq!(stats.coalesce.fused_rows, (clients * 3) as u64);
-    assert!(
-        stats.coalesce.fused_batches <= stats.coalesce.fused_jobs,
-        "{:?}",
-        stats.coalesce
-    );
-
-    // Mining through the coalescing queue is bit-identical to mining in-process.
-    let mine_response = surf_serve::http::http_request(
-        &coalescing_addr,
-        "POST",
-        "/mine",
-        Some("{\"model\": \"m\", \"threshold\": {\"value\": 250.0, \"direction\": \"above\"}}"),
-    )
-    .unwrap();
-    assert_eq!(mine_response.0, 200, "{}", mine_response.1);
-    let mined: MineResponse = serde_json::from_str(&mine_response.1).unwrap();
-    let local = engine.mine_with(Threshold::above(250.0));
-    assert_eq!(
-        mined.outcome.regions, local.regions,
-        "coalesced mining must match in-process mining exactly"
-    );
-
-    coalescing.shutdown();
-    baseline.shutdown();
+    handle.shutdown();
 }
 
 /// Shutdown with idle keep-alive connections open must not hang or panic.
 #[test]
 fn shutdown_with_open_keepalive_connections_is_clean() {
     let engine = quick_engine(43);
-    let handle = start(&engine, event_config(CoalesceConfig::default()));
+    let handle = start(&engine, event_config());
     let addr = handle.addr().to_string();
 
     let mut open = HttpClient::connect(&addr).unwrap();

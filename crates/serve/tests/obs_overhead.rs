@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use surf_serve::http::HttpClient;
-use surf_serve::{serve, ModelRegistry, ObsConfig, ServerConfig, ServerHandle, TransportMode};
+use surf_serve::{serve, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
 
 fn start(obs: ObsConfig) -> ServerHandle {
     let registry = Arc::new(ModelRegistry::new());
@@ -15,7 +15,6 @@ fn start(obs: ObsConfig) -> ServerHandle {
         registry,
         &ServerConfig {
             workers: 2,
-            transport: TransportMode::EventLoop,
             obs,
             ..ServerConfig::default()
         },
