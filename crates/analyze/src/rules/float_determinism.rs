@@ -30,12 +30,13 @@ pub const NAME: &str = "float-determinism";
 const RULE_FILE: &str = "crates/analyze/src/rules/float_determinism.rs";
 
 /// Files the rule governs by name: the modules covered by the `hist_parity`,
-/// `compiled_parity` and `engine_parity` bit-identity suites.
+/// `compiled_parity`, `engine_parity` and `kde_parity` bit-identity suites.
 pub const TARGET_FILES: &[&str] = &[
     "crates/ml/src/tree.rs",
     "crates/ml/src/compiled.rs",
     "crates/ml/src/matrix.rs",
     "crates/ml/src/qs.rs",
+    "crates/ml/src/kde.rs",
 ];
 
 /// Workspace-relative files the rule governs: [`TARGET_FILES`] plus every

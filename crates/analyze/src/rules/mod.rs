@@ -74,7 +74,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: float_determinism::NAME,
         summary: "no float accumulation over unordered HashMap/HashSet iteration in the \
-                  parity-critical modules (ml tree/compiled/matrix, data index*)",
+                  parity-critical modules (ml tree/compiled/matrix/kde, data index*)",
         escape: "// lint: allow(float-determinism) — <reason>",
     },
     RuleInfo {

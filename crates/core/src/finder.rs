@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use surf_data::dataset::Dataset;
 use surf_data::region::Region;
 use surf_data::workload::{Workload, WorkloadSpec};
+use surf_ml::error::MlError;
 use surf_ml::gbrt::Gbrt;
 use surf_ml::kde::KernelDensity;
 use surf_optim::fitness::{FitnessFunction, SolutionBounds};
@@ -462,8 +463,10 @@ impl Surf {
     }
 
     /// Rebuilds a working engine from previously exported state, re-validating the
-    /// configuration and the model's feature width. The restored engine answers [`Surf::mine`]
-    /// / [`Surf::mine_with`] identically to the engine that exported the state.
+    /// configuration, the model's feature width and the KDE guide
+    /// ([`KernelDensity::validate`], plus its width against the exported dimensionality). The
+    /// restored engine answers [`Surf::mine`] / [`Surf::mine_with`] identically to the engine
+    /// that exported the state.
     pub fn from_state(state: SurfState) -> Result<Surf, SurfError> {
         state.config.validate()?;
         if state.domain.dimensions() != state.dimensions {
@@ -472,6 +475,16 @@ impl Surf {
                 state.domain.dimensions(),
                 state.dimensions
             )));
+        }
+        if let Some(kde) = &state.kde {
+            kde.validate()?;
+            if kde.dimensions() != state.dimensions {
+                return Err(MlError::FeatureWidthMismatch {
+                    expected: state.dimensions,
+                    actual: kde.dimensions(),
+                }
+                .into());
+            }
         }
         let surrogate = GbrtSurrogate::from_model_with_engine(
             state.model,
@@ -730,5 +743,76 @@ mod tests {
         let mut bad = surf.export_state();
         bad.dimensions = 3;
         assert!(Surf::from_state(bad).is_err());
+    }
+
+    #[test]
+    fn from_state_rejects_an_inconsistent_kde() {
+        let synthetic = dense_dataset();
+        let surf = Surf::fit(&synthetic.dataset, &quick_config(600.0)).unwrap();
+        // Each guide arrives as JSON, the way a served artifact carries it; `null` decodes to
+        // NaN and `1e999` to infinity. Scoring the first would index past its short row, and
+        // the second would put every density weight at the 1e-12 floor.
+        let cases = [
+            (
+                r#"{"points":[[0.5],[0.4,0.6]],"bandwidths":[0.1,0.1]}"#,
+                MlError::RaggedFeatures {
+                    first: 1,
+                    row: 1,
+                    width: 2,
+                },
+            ),
+            (
+                r#"{"points":[[0.1,0.2,0.3]],"bandwidths":[0.1,0.1,0.1]}"#,
+                MlError::FeatureWidthMismatch {
+                    expected: 2,
+                    actual: 3,
+                },
+            ),
+            (
+                r#"{"points":[[0.5],[0.4]],"bandwidths":[0.1,0.1]}"#,
+                MlError::FeatureWidthMismatch {
+                    expected: 2,
+                    actual: 1,
+                },
+            ),
+            (
+                r#"{"points":[],"bandwidths":[0.1,0.1]}"#,
+                MlError::EmptyTrainingSet,
+            ),
+            (
+                r#"{"points":[[0.5,0.5],[0.4,null]],"bandwidths":[0.1,0.1]}"#,
+                MlError::NonFiniteFeature { row: 1, column: 1 },
+            ),
+            (
+                r#"{"points":[[1e999,0.5]],"bandwidths":[0.1,0.1]}"#,
+                MlError::NonFiniteFeature { row: 0, column: 0 },
+            ),
+        ];
+        let restore = |kde: &str| {
+            let mut state = surf.export_state();
+            state.kde = Some(serde_json::from_str(kde).unwrap());
+            let json = serde_json::to_string(&state).unwrap();
+            Surf::from_state(serde_json::from_str(&json).unwrap())
+        };
+        for (kde, expected) in cases {
+            assert_eq!(restore(kde).err(), Some(SurfError::Ml(expected)), "{kde}");
+        }
+        for h in ["0.0", "-0.1", "null", "1e999"] {
+            let kde = format!(r#"{{"points":[[0.5,0.5]],"bandwidths":[0.1,{h}]}}"#);
+            assert!(
+                matches!(
+                    restore(&kde),
+                    Err(SurfError::Ml(MlError::InvalidParameter {
+                        name: "bandwidth",
+                        ..
+                    }))
+                ),
+                "{kde}"
+            );
+        }
+        // A consistent guide restores, and mining with it scores boxes.
+        restore(r#"{"points":[[0.5,0.5],[0.4,0.6]],"bandwidths":[0.1,0.1]}"#)
+            .unwrap()
+            .mine();
     }
 }
