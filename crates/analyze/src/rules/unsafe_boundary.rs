@@ -39,8 +39,8 @@ pub const ALLOWLIST_TEMPLATE: &str = "\
 #
 # Every entry is a section naming the crate, with a mandatory `reason`:
 #
-#     [surf-simd]
-#     reason = \"SIMD inference kernel: vetted intrinsics behind a safe API\"
+#     [surf-reactor]
+#     reason = \"epoll FFI behind a safe API\"
 #
 # An allowlisted crate may drop `#![forbid(unsafe_code)]` from its root, but every
 # `unsafe` occurrence in it must carry a `// SAFETY:` comment on the same line or the

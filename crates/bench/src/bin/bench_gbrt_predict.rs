@@ -1,27 +1,16 @@
 //! GBRT-inference performance trajectory: times batch prediction with the node-walking
 //! predictor (`Gbrt::predict`, per-tree arena walks over `Vec<Vec<f64>>` rows) against the
-//! compiled struct-of-arrays engine (`CompiledEnsemble::predict_batch`, flat row-major
-//! input, cache-blocked trees-outer/examples-inner kernel) and the QuickScorer bitvector
-//! engine (`QuickScorerEnsemble::predict_batch`, feature-major checkpointed mask ANDs)
-//! across batch sizes N ∈ {1k, 10k, 100k} and dimensionalities d ∈ {2, 4, 8},
-//! single-threaded and — when thread resolution yields more than one core — with the
-//! blocked kernels fanned out over threads (a `_mt` rung at one resolved thread would just
-//! re-measure the single-thread path plus scoping overhead, so it is skipped). A
-//! swarm-iteration end-to-end case additionally times a full GSO mining run against a
-//! surrogate fitness with batching on vs. off — the serving path `/mine` exercises.
-//! Results go to `BENCH_gbrt_predict.json` in the working directory so CI can accumulate
-//! a perf trajectory across commits.
-//!
-//! Since the batch engines dispatch their hot loops through `surf_simd`, every rung also
-//! carries a **kernel** dimension: the batch engines are measured once with scalar
-//! dispatch forced and once under the CPU's detected ISA (skipped on machines that
-//! detect no SIMD), with the two paths' outputs asserted bit-identical before either is
-//! reported. The walker has no SIMD path and always reports `scalar`. The compiled
-//! engine's SIMD rung opts into its gather-based vectorized walk, which is **off in
-//! production** — these very measurements show the fused scalar loop (16 interleaved
-//! chains saturating the load ports) beating microcoded AVX2 `vgather` kernels — while
-//! QuickScorer's streaming mask/fence kernels profit from AVX2 and dispatch it by
-//! default.
+//! compiled engine (`CompiledEnsemble::predict_batch`, flat row-major input, cache-blocked
+//! trees-outer/examples-inner kernel) across batch sizes N ∈ {1k, 10k, 100k} and
+//! dimensionalities d ∈ {2, 4, 8}, single-threaded and — when thread resolution yields more
+//! than one core — with the blocked kernel fanned out over threads (a `_mt` rung at one
+//! resolved thread would just re-measure the single-thread path plus scoping overhead, so
+//! it is skipped). The compiled outputs are asserted bit-identical to the walker's before
+//! either is reported. A swarm-iteration end-to-end case additionally times a full GSO
+//! mining run against a surrogate fitness with batching on vs. off — the serving path
+//! `/mine` exercises. Results go to `BENCH_gbrt_predict.json` in the working directory,
+//! stamped with the host's available parallelism and detected ISA, so CI can accumulate a
+//! perf trajectory across commits.
 //!
 //! Two grid-search-sized ensembles are measured: the paper's reported default XGB setup
 //! (`paper_default`, 100 trees × depth 7 — L2-resident, so the win is branch elimination
@@ -42,7 +31,6 @@ use surf_core::surrogate::GbrtSurrogate;
 use surf_data::region::Region;
 use surf_ml::compiled::CompiledEnsemble;
 use surf_ml::gbrt::{Gbrt, GbrtParams};
-use surf_ml::qs::QuickScorerEnsemble;
 use surf_optim::fitness::{FitnessFunction, SolutionBounds};
 use surf_optim::gso::{GlowwormSwarm, GsoParams};
 
@@ -57,9 +45,6 @@ struct Measurement {
     batch_size: usize,
     dimensions: usize,
     engine: String,
-    /// `surf_simd` dispatch the engine ran under: `scalar` (forced) or the detected ISA
-    /// (`sse2` / `avx2`); the walker has no SIMD path and is always `scalar`.
-    kernel: String,
     /// The *resolved* thread count the engine actually ran with (multi-thread rungs are
     /// skipped entirely when resolution yields one thread).
     threads: usize,
@@ -86,6 +71,11 @@ struct SwarmCase {
 struct Artifact {
     bench: &'static str,
     unix_time_seconds: u64,
+    scale: String,
+    /// `std::thread::available_parallelism` of the host the run measured.
+    available_parallelism: usize,
+    /// The SIMD ISA `surf_simd` detected on that host.
+    detected_isa: &'static str,
     repetitions: usize,
     results: Vec<Measurement>,
     swarm: Vec<SwarmCase>,
@@ -170,7 +160,7 @@ fn swarm_case(scale: Scale) -> SwarmCase {
 
 fn main() {
     let scale = Scale::from_args();
-    println!("# gbrt_predict — node-walking vs. compiled SoA vs. QuickScorer inference engines");
+    println!("# gbrt_predict — node-walking predictor vs. compiled inference engine");
 
     let sizes: Vec<usize> = scale.pick(
         vec![1_000, 10_000],
@@ -181,22 +171,6 @@ fn main() {
     let repetitions = scale.pick(2, 5, 10);
     let threads = surf_ml::parallel::resolve_threads(0);
     let train_rows = scale.pick(2_000, 5_000, 5_000);
-
-    // SIMD rungs measure the detected ISA; when the probe yields only the scalar path
-    // (non-x86_64, or SURF_FORCE_SCALAR set in the environment), they would duplicate
-    // the forced-scalar rungs and are skipped.
-    let detected = surf_simd::detected();
-    let has_simd = detected != surf_simd::Isa::Scalar && !surf_simd::scalar_forced();
-    let simd_label = detected.label();
-    println!(
-        "# simd dispatch: detected `{}`{}",
-        simd_label,
-        if has_simd {
-            ""
-        } else {
-            " (no SIMD rungs: scalar-only dispatch)"
-        }
-    );
 
     // Grid-search-sized ensembles: the paper's reported default XGB setup (100 × depth 7)
     // and the largest cell of its default hyper-parameter grid (300 × depth 9) — the size
@@ -219,74 +193,31 @@ fn main() {
             let (train_x, train_y) = training_data(train_rows, d, 17 + d as u64);
             let model = Gbrt::fit(&train_x, &train_y, params).expect("fit succeeds");
             let compiled = CompiledEnsemble::compile(&model).expect("compilable");
-            let quickscorer = QuickScorerEnsemble::compile(&model).expect("compilable");
             for &n in &sizes {
                 let (batch, _) = training_data(n, d, 41 + d as u64);
                 let flat: Vec<f64> = batch.iter().flatten().copied().collect();
 
-                // Scalar rungs: force the fallback kernels so the measurement is the
-                // honest pre-SIMD path, and keep each engine's output for the
-                // bit-identity audit below. The previous forcing state is restored
-                // afterwards so a SURF_FORCE_SCALAR run stays scalar throughout.
-                let prev_forced = surf_simd::scalar_forced();
-                surf_simd::force_scalar(true);
-                let walker_seconds = time(repetitions, || model.predict(&batch).expect("predicts"));
-                let compiled_seconds = time(repetitions, || {
-                    compiled.predict_batch(&flat, d).expect("predicts")
-                });
-                let quickscorer_seconds = time(repetitions, || {
-                    quickscorer.predict_batch(&flat, d).expect("predicts")
-                });
-                let scalar_compiled = compiled.predict_batch(&flat, d).expect("predicts");
-                let scalar_quickscorer = quickscorer.predict_batch(&flat, d).expect("predicts");
-                surf_simd::force_scalar(prev_forced);
-
-                let mut engines = vec![
-                    ("walker", "scalar", 1usize, walker_seconds),
-                    ("compiled", "scalar", 1, compiled_seconds),
-                    ("quickscorer", "scalar", 1, quickscorer_seconds),
-                ];
-                // SIMD rungs under the detected ISA — skipped when detection yields no
-                // SIMD (the rung would duplicate the scalar one). Outputs must be
-                // bit-identical to the forced-scalar path before they are reported.
-                if has_simd {
-                    // The compiled engine's vectorized walk is opt-in (off in production:
-                    // its fused scalar loop measures faster than AVX2 gathers); the rung
-                    // measures the vector path so the regime comparison stays visible.
-                    surf_ml::compiled::set_simd_walk(true);
-                    let compiled_simd_seconds = time(repetitions, || {
-                        compiled.predict_batch(&flat, d).expect("predicts")
-                    });
-                    let simd_compiled = compiled.predict_batch(&flat, d).expect("predicts");
-                    surf_ml::compiled::set_simd_walk(false);
-                    let quickscorer_simd_seconds = time(repetitions, || {
-                        quickscorer.predict_batch(&flat, d).expect("predicts")
-                    });
-                    let simd_quickscorer = quickscorer.predict_batch(&flat, d).expect("predicts");
-                    for i in 0..n {
-                        assert_eq!(
-                            simd_compiled[i].to_bits(),
-                            scalar_compiled[i].to_bits(),
-                            "compiled {simd_label} diverged from scalar at row {i}"
-                        );
-                        assert_eq!(
-                            simd_quickscorer[i].to_bits(),
-                            scalar_quickscorer[i].to_bits(),
-                            "quickscorer {simd_label} diverged from scalar at row {i}"
-                        );
-                    }
-                    engines.push(("compiled", simd_label, 1, compiled_simd_seconds));
-                    engines.push(("quickscorer", simd_label, 1, quickscorer_simd_seconds));
+                let walker_out = model.predict(&batch).expect("predicts");
+                let compiled_out = compiled.predict_batch(&flat, d).expect("predicts");
+                for (i, (c, w)) in compiled_out.iter().zip(&walker_out).enumerate() {
+                    assert_eq!(c.to_bits(), w.to_bits(), "compiled diverged at row {i}");
                 }
-                // At one resolved thread the `_mt` rungs would re-measure the
-                // single-thread path plus thread-scope overhead; skip them. They run
-                // the production dispatch: scalar walk for compiled (its default),
-                // the detected ISA for quickscorer.
+                let walker_seconds = time(repetitions, || model.predict(&batch).expect("predicts"));
+                let mut engines = vec![
+                    ("walker", 1usize, walker_seconds),
+                    (
+                        "compiled",
+                        1,
+                        time(repetitions, || {
+                            compiled.predict_batch(&flat, d).expect("predicts")
+                        }),
+                    ),
+                ];
+                // At one resolved thread the `_mt` rung would re-measure the single-thread
+                // path plus thread-scope overhead; skip it.
                 if threads > 1 {
-                    let qs_kernel = if has_simd { simd_label } else { "scalar" };
                     engines.push((
                         "compiled_mt",
-                        "scalar",
                         threads,
                         time(repetitions, || {
                             compiled
@@ -294,26 +225,15 @@ fn main() {
                                 .expect("predicts")
                         }),
                     ));
-                    engines.push((
-                        "quickscorer_mt",
-                        qs_kernel,
-                        threads,
-                        time(repetitions, || {
-                            quickscorer
-                                .predict_batch_threaded(&flat, d, threads)
-                                .expect("predicts")
-                        }),
-                    ));
                 }
 
-                for (engine, kernel, used_threads, seconds) in engines {
+                for (engine, used_threads, seconds) in engines {
                     let speedup = walker_seconds / seconds;
                     rows.push(vec![
                         ensemble.to_string(),
                         n.to_string(),
                         d.to_string(),
                         engine.to_string(),
-                        kernel.to_string(),
                         used_threads.to_string(),
                         format!("{seconds:.5}"),
                         format!("{:.0}", n as f64 / seconds),
@@ -326,7 +246,6 @@ fn main() {
                         batch_size: n,
                         dimensions: d,
                         engine: engine.to_string(),
-                        kernel: kernel.to_string(),
                         threads: used_threads,
                         predict_seconds: seconds,
                         rows_per_second: n as f64 / seconds,
@@ -338,9 +257,9 @@ fn main() {
     }
 
     print_table(
-        "gbrt_predict (walker vs. compiled vs. quickscorer engines)",
+        "gbrt_predict (walker vs. compiled engine)",
         &[
-            "ensemble", "N", "d", "engine", "kernel", "threads", "s/batch", "rows/s", "speedup",
+            "ensemble", "N", "d", "engine", "threads", "s/batch", "rows/s", "speedup",
         ],
         &rows,
     );
@@ -365,6 +284,9 @@ fn main() {
             .duration_since(UNIX_EPOCH)
             .map(|t| t.as_secs())
             .unwrap_or(0),
+        scale: format!("{scale:?}"),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        detected_isa: surf_simd::detected().label(),
         repetitions,
         results,
         swarm,

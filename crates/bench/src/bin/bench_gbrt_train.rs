@@ -2,7 +2,8 @@
 //! sorting) engine vs. the histogram engine (shared `FeatureMatrix` + per-node gradient
 //! histograms) across N ∈ {1k, 10k, 100k} and d ∈ {2, 4, 8}, and writes the results
 //! (including one-off matrix build times and speedup factors) to `BENCH_gbrt_train.json` in
-//! the working directory so CI can accumulate a perf trajectory across commits.
+//! the working directory, stamped with the host's available parallelism and detected ISA,
+//! so CI can accumulate a perf trajectory across commits.
 //!
 //! `--quick` runs a reduced matrix for CI smoke; `--full` adds more repetitions.
 
@@ -37,6 +38,11 @@ struct Measurement {
 struct Artifact {
     bench: &'static str,
     unix_time_seconds: u64,
+    scale: String,
+    /// `std::thread::available_parallelism` of the host the run measured.
+    available_parallelism: usize,
+    /// The SIMD ISA `surf_simd` detected on that host.
+    detected_isa: &'static str,
     n_estimators: usize,
     max_depth: usize,
     repetitions: usize,
@@ -158,6 +164,9 @@ fn main() {
             .duration_since(UNIX_EPOCH)
             .map(|t| t.as_secs())
             .unwrap_or(0),
+        scale: format!("{scale:?}"),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        detected_isa: surf_simd::detected().label(),
         n_estimators,
         max_depth: base.max_depth,
         repetitions,

@@ -1,8 +1,9 @@
 //! Region-evaluation performance trajectory: times `Statistic::evaluate` on a
 //! workload-shaped region mix — full column scan vs. grid index vs. k-d tree — across
 //! N ∈ {10k, 100k, 1M} and d ∈ {2, 4, 8}, and writes the results (including index build
-//! times and speedup factors) to `BENCH_region_eval.json` in the working directory so CI can
-//! accumulate a perf trajectory across commits.
+//! times and speedup factors) to `BENCH_region_eval.json` in the working directory, stamped
+//! with the host's available parallelism and detected ISA, so CI can accumulate a perf
+//! trajectory across commits.
 //!
 //! `--quick` runs a reduced matrix for CI smoke; `--full` adds more repetitions.
 
@@ -35,6 +36,11 @@ struct Measurement {
 struct Artifact {
     bench: &'static str,
     unix_time_seconds: u64,
+    scale: String,
+    /// `std::thread::available_parallelism` of the host the run measured.
+    available_parallelism: usize,
+    /// The SIMD ISA `surf_simd` detected on that host.
+    detected_isa: &'static str,
     queries_per_config: usize,
     repetitions: usize,
     results: Vec<Measurement>,
@@ -133,6 +139,9 @@ fn main() {
             .duration_since(UNIX_EPOCH)
             .map(|t| t.as_secs())
             .unwrap_or(0),
+        scale: format!("{scale:?}"),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        detected_isa: surf_simd::detected().label(),
         queries_per_config: queries,
         repetitions,
         results,

@@ -38,7 +38,7 @@ fn main() {
     let threshold = Threshold::above(scale.pick(600.0, 1_000.0, 1_080.0));
     // Pinned to the scan path: this figure reproduces the paper's cost regime, where
     // every true-f evaluation is a full data scan (the spatial index would change the
-    // measured surrogate-vs-true-f gap; see benches/region_eval.rs for that story).
+    // measured surrogate-vs-true-f gap; see the `bench_region_eval` binary for that story).
     let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0)
         .with_index_kind(surf_data::index::IndexKind::Scan);
 

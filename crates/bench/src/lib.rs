@@ -3,9 +3,9 @@
 //! Experiment harness regenerating every table and figure of the SuRF paper's evaluation
 //! (Section V). Each `src/bin/*` binary reproduces one figure/table: it prints the rows or
 //! series the paper reports and writes a JSON artifact under `target/experiments/`. The
-//! Criterion benches under `benches/` cover the micro-benchmarks (statistic evaluation,
-//! objective evaluation, GSO scaling, surrogate training, and the Table I method comparison
-//! at reduced scale).
+//! `bench_*` binaries time the layers underneath (region evaluation, GBRT training and
+//! inference, serving) and write `BENCH_*.json` trajectory artifacts in the working
+//! directory.
 //!
 //! Every binary accepts `--quick` for a reduced sweep and `--full` for the paper-scale sweep;
 //! the default sits in between so the whole suite finishes in minutes on a laptop.

@@ -356,7 +356,6 @@ impl Surf {
             hypertune: config.hypertune,
             threads: config.threads,
             seed: config.seed,
-            engine: config.inference_engine,
             ..SurrogateTrainer::default()
         };
         let (surrogate, training_report) = trainer.train(workload)?;
@@ -486,11 +485,7 @@ impl Surf {
                 .into());
             }
         }
-        let surrogate = GbrtSurrogate::from_model_with_engine(
-            state.model,
-            state.dimensions,
-            state.config.inference_engine,
-        )?;
+        let surrogate = GbrtSurrogate::from_model(state.model, state.dimensions)?;
         Ok(Surf {
             config: state.config,
             domain: state.domain,

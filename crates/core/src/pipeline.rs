@@ -8,8 +8,8 @@
 use serde::{Deserialize, Serialize};
 use surf_data::index::IndexKind;
 use surf_data::statistic::Statistic;
+use surf_ml::compiled::InferenceEngine;
 use surf_ml::gbrt::GbrtParams;
-use surf_ml::qs::InferenceEngine;
 use surf_optim::gso::GsoParams;
 
 use crate::error::SurfError;
@@ -37,11 +37,9 @@ pub struct SurfConfig {
     pub gbrt: GbrtParams,
     /// Run the paper's grid search with cross-validation before the final surrogate fit.
     pub hypertune: bool,
-    /// Inference engine serving the fitted surrogate (single predictions, batched
-    /// `/predict` and swarm mining all dispatch through it). Every engine is bit-identical
-    /// for every input — the knob only moves speed; see `surf_ml::qs` for the regimes.
+    /// Inference engine serving the fitted surrogate: the compiled engine, the only one.
     /// Defaults on deserialization too (the engine's `Deserialize::absent` hook), so
-    /// configurations persisted before the knob existed load unchanged.
+    /// configurations persisted before the field existed load unchanged.
     pub inference_engine: InferenceEngine,
     /// Glowworm Swarm Optimization parameters.
     pub gso: GsoParams,
@@ -220,13 +218,6 @@ impl SurfConfigBuilder {
         self
     }
 
-    /// Selects the inference engine serving the fitted surrogate (bit-identical results for
-    /// every choice; [`InferenceEngine::Compiled`] by default).
-    pub fn inference_engine(mut self, engine: InferenceEngine) -> Self {
-        self.config.inference_engine = engine;
-        self
-    }
-
     /// Sets the GSO parameters.
     pub fn gso(mut self, params: GsoParams) -> Self {
         self.config.gso = params;
@@ -341,28 +332,36 @@ mod tests {
 
     #[test]
     fn inference_engine_round_trips_and_defaults_when_absent() {
-        use surf_ml::qs::InferenceEngine;
-
-        let config = SurfConfig::builder()
-            .inference_engine(InferenceEngine::QuickScorer)
-            .build();
+        let config = SurfConfig::default();
         let json = serde_json::to_string(&config).unwrap();
         let restored: SurfConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.inference_engine, InferenceEngine::QuickScorer);
+        assert_eq!(restored.inference_engine, InferenceEngine::Compiled);
 
-        // Configurations persisted before the knob existed carry no `inference_engine`
-        // key; deserialization must fall back to the default engine, not error.
-        let legacy = {
-            let serde::Value::Object(mut entries) = serde_json::from_str::<serde::Value>(&json)
+        let entries = || {
+            let serde::Value::Object(entries) = serde_json::from_str::<serde::Value>(&json)
                 .expect("config serializes to an object")
             else {
                 panic!("config serializes to an object");
             };
-            entries.retain(|(key, _)| key != "inference_engine");
-            serde_json::to_string(&serde::Value::Object(entries)).unwrap()
+            entries
         };
+        // Configurations persisted before the field existed carry no `inference_engine`
+        // key; deserialization must fall back to the compiled engine, not error.
+        let mut legacy = entries();
+        legacy.retain(|(key, _)| key != "inference_engine");
+        let legacy = serde_json::to_string(&serde::Value::Object(legacy)).unwrap();
         let restored: SurfConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(restored.inference_engine, InferenceEngine::Compiled);
+
+        // An engine this build does not have is an error, not a silent substitution.
+        let mut unknown = entries();
+        for (key, value) in &mut unknown {
+            if key == "inference_engine" {
+                *value = serde::Value::String("NoSuchEngine".into());
+            }
+        }
+        let unknown = serde_json::to_string(&serde::Value::Object(unknown)).unwrap();
+        assert!(serde_json::from_str::<SurfConfig>(&unknown).is_err());
     }
 
     #[test]

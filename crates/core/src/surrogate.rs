@@ -18,13 +18,12 @@ use surf_data::dataset::Dataset;
 use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::workload::Workload;
-use surf_ml::compiled::CompiledEnsemble;
+use surf_ml::compiled::{CompiledEnsemble, InferenceEngine};
 use surf_ml::cv::KFold;
 use surf_ml::gbrt::{Gbrt, GbrtParams};
 use surf_ml::grid::{GbrtGrid, GridSearch};
 use surf_ml::matrix::FeatureMatrix;
 use surf_ml::metrics::rmse;
-use surf_ml::qs::{InferenceEngine, QuickScorerEnsemble};
 
 use crate::error::SurfError;
 
@@ -35,7 +34,7 @@ pub trait Surrogate: Sync {
 
     /// Estimated statistics for a batch of regions, in request order. The default delegates
     /// to [`Surrogate::predict`] region by region; [`GbrtSurrogate`] overrides it to route
-    /// the whole batch through its selected inference engine in one blocked pass. Overrides
+    /// the whole batch through its compiled ensemble in one blocked pass. Overrides
     /// must return exactly the value `predict` would for every region.
     fn predict_batch(&self, regions: &[Region]) -> Vec<f64> {
         regions.iter().map(|r| self.predict(r)).collect()
@@ -108,40 +107,20 @@ impl Surrogate for TrueFunctionSurrogate<'_> {
 /// representation `[x, l]`.
 ///
 /// Construction compiles the fitted walker into a [`CompiledEnsemble`] once — both
-/// `Surf::fit` and `Surf::from_state` go through [`GbrtSurrogate::from_model_with_engine`],
-/// so every serving path (single predictions, batched `/predict`, GSO/PSO mining) runs on
-/// the [`InferenceEngine`] the configuration selects; choosing
-/// [`InferenceEngine::QuickScorer`] additionally recompiles the ensemble into the bitvector
-/// form of `surf_ml::qs`. All engines are bit-identical for every input, so the knob only
-/// moves speed, never results.
+/// `Surf::fit` and `Surf::from_state` go through [`GbrtSurrogate::from_model`], so every
+/// serving path (single predictions, batched `/predict`, GSO/PSO mining) runs on the
+/// compiled form, bit-identical to the walker for every input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GbrtSurrogate {
     model: Gbrt,
     compiled: CompiledEnsemble,
-    quickscorer: Option<QuickScorerEnsemble>,
-    engine: InferenceEngine,
-    qs_compile_seconds: Option<f64>,
     dimensions: usize,
 }
 
 impl GbrtSurrogate {
-    /// Wraps an already-fitted model, compiling it for inference with the default engine.
-    /// The model must have been trained on `2·dimensions` features.
+    /// Wraps an already-fitted model, compiling it for inference. The model must have been
+    /// trained on `2·dimensions` features.
     pub fn from_model(model: Gbrt, dimensions: usize) -> Result<Self, SurfError> {
-        Self::from_model_with_engine(model, dimensions, InferenceEngine::default())
-    }
-
-    /// Wraps an already-fitted model, compiling it for inference with the selected engine.
-    /// The model must have been trained on `2·dimensions` features.
-    ///
-    /// The struct-of-arrays form is always compiled (it also backs the walker-parity tests);
-    /// the QuickScorer recompilation happens only when selected, and its one-off wall-clock
-    /// cost is recorded for the `surf_qs_compile_seconds` observability gauge.
-    pub fn from_model_with_engine(
-        model: Gbrt,
-        dimensions: usize,
-        engine: InferenceEngine,
-    ) -> Result<Self, SurfError> {
         if model.features() != 2 * dimensions {
             return Err(SurfError::InvalidConfig(format!(
                 "model expects {} features but a {}-dimensional region space needs {}",
@@ -151,21 +130,22 @@ impl GbrtSurrogate {
             )));
         }
         let compiled = model.compile()?;
-        let (quickscorer, qs_compile_seconds) = if engine == InferenceEngine::QuickScorer {
-            let started = Instant::now();
-            let quickscorer = QuickScorerEnsemble::compile(&model)?;
-            (Some(quickscorer), Some(started.elapsed().as_secs_f64()))
-        } else {
-            (None, None)
-        };
         Ok(Self {
             model,
             compiled,
-            quickscorer,
-            engine,
-            qs_compile_seconds,
             dimensions,
         })
+    }
+
+    /// [`GbrtSurrogate::from_model`] for a configuration's [`InferenceEngine`], whose one
+    /// value is the compiled engine.
+    pub fn from_model_with_engine(
+        model: Gbrt,
+        dimensions: usize,
+        engine: InferenceEngine,
+    ) -> Result<Self, SurfError> {
+        let InferenceEngine::Compiled = engine;
+        Self::from_model(model, dimensions)
     }
 
     /// The underlying boosted ensemble (the walker form — this is what gets persisted).
@@ -173,37 +153,9 @@ impl GbrtSurrogate {
         &self.model
     }
 
-    /// The compiled struct-of-arrays ensemble (always built; serves predictions unless the
-    /// engine selection says otherwise).
+    /// The compiled ensemble that serves every prediction.
     pub fn compiled(&self) -> &CompiledEnsemble {
         &self.compiled
-    }
-
-    /// The QuickScorer bitvector ensemble, when that engine is selected.
-    pub fn quickscorer(&self) -> Option<&QuickScorerEnsemble> {
-        self.quickscorer.as_ref()
-    }
-
-    /// The inference engine serving this surrogate's predictions.
-    pub fn engine(&self) -> InferenceEngine {
-        self.engine
-    }
-
-    /// One-off wall-clock cost of the QuickScorer recompilation, when that engine is
-    /// selected (`None` otherwise).
-    pub fn qs_compile_seconds(&self) -> Option<f64> {
-        self.qs_compile_seconds
-    }
-
-    /// Single-row prediction through the selected engine.
-    fn predict_row(&self, features: &[f64]) -> f64 {
-        match (self.engine, &self.quickscorer) {
-            (InferenceEngine::QuickScorer, Some(qs)) => {
-                qs.predict_one(features).unwrap_or(f64::NAN)
-            }
-            (InferenceEngine::Walker, _) => self.model.predict_one(features).unwrap_or(f64::NAN),
-            _ => self.compiled.predict_one(features).unwrap_or(f64::NAN),
-        }
     }
 
     /// Flattens a homogeneous batch of regions, or `None` when any region's width disagrees
@@ -223,8 +175,9 @@ impl GbrtSurrogate {
 
 impl Surrogate for GbrtSurrogate {
     fn predict(&self, region: &Region) -> f64 {
-        let features = region.to_solution_vector();
-        self.predict_row(&features)
+        self.compiled
+            .predict_one(&region.to_solution_vector())
+            .unwrap_or(f64::NAN)
     }
 
     fn predict_batch(&self, regions: &[Region]) -> Vec<f64> {
@@ -235,19 +188,11 @@ impl Surrogate for GbrtSurrogate {
             return regions.iter().map(|region| self.predict(region)).collect();
         };
         let mut out = vec![0.0; regions.len()];
-        let result = match (self.engine, &self.quickscorer) {
-            (InferenceEngine::QuickScorer, Some(qs)) => {
-                qs.predict_batch_into(&flat, width, &mut out)
-            }
-            (InferenceEngine::Walker, _) => {
-                for (slot, row) in out.iter_mut().zip(flat.chunks(width.max(1))) {
-                    *slot = self.model.predict_one(row).unwrap_or(f64::NAN);
-                }
-                Ok(())
-            }
-            _ => self.compiled.predict_batch_into(&flat, width, &mut out),
-        };
-        if result.is_err() {
+        if self
+            .compiled
+            .predict_batch_into(&flat, width, &mut out)
+            .is_err()
+        {
             out.fill(f64::NAN);
         }
         out
@@ -338,7 +283,8 @@ pub struct SurrogateTrainer {
     pub threads: usize,
     /// Seed for splits.
     pub seed: u64,
-    /// Inference engine the fitted surrogate serves predictions with.
+    /// Inference engine the fitted surrogate serves predictions with (the compiled
+    /// engine, the only one).
     pub engine: InferenceEngine,
 }
 
@@ -396,12 +342,6 @@ impl SurrogateTrainer {
         self
     }
 
-    /// Overrides the inference engine the fitted surrogate serves predictions with.
-    pub fn with_engine(mut self, engine: InferenceEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Trains a surrogate on the workload and reports training cost and held-out accuracy.
     ///
     /// With the histogram training engine enabled (`params.max_bins > 0`, the default) the
@@ -455,7 +395,7 @@ impl SurrogateTrainer {
         } else {
             rmse(&holdout_y, &model.predict(&holdout_x)?)
         };
-        let surrogate = GbrtSurrogate::from_model_with_engine(model, dimensions, self.engine)?;
+        let surrogate = GbrtSurrogate::from_model(model, dimensions)?;
         let report = TrainingReport {
             training_time: start.elapsed(),
             training_examples: train_x.len(),

@@ -8,8 +8,8 @@
 //! ([`crate::gbrt::Gbrt::predict_one`]) pays that pipeline flush once per node per tree per
 //! example — the dominant cost of every GSO/PSO iteration and every serve-side prediction.
 //!
-//! [`CompiledEnsemble`] flattens a fitted ensemble once into the representation
-//! QuickScorer-class engines (Lucchese et al.) and VPred-style kernels use for serving:
+//! [`CompiledEnsemble`] flattens a fitted ensemble once into a packed-node representation
+//! built for serving:
 //!
 //! ```text
 //! nodes  (one 24-byte packed record per node, all trees concatenated, arena order)
@@ -37,55 +37,58 @@
 //! nothing) and exactly the walker's accumulation order (`base + lr·t₀ + lr·t₁ + …`), so
 //! compiled predictions are bit-identical to [`crate::gbrt::Gbrt::predict_one`] /
 //! [`crate::tree::RegressionTree::predict_one`] for every input and every block/thread
-//! configuration. The `compiled_parity` property suite pins this down.
+//! configuration. The `compiled_parity` property suite pins this down, NaN and ±∞ inputs
+//! included.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use serde::Serialize;
 
 use crate::error::MlError;
 use crate::gbrt::Gbrt;
 use crate::tree::RegressionTree;
 
-/// Lazily initialized opt-in flag for the vectorized walk; see [`simd_walk_enabled`].
-fn simd_walk_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let from_env =
-            std::env::var("SURF_COMPILED_SIMD_WALK").is_ok_and(|v| !v.is_empty() && v != "0");
-        AtomicBool::new(from_env)
-    })
-}
-
-/// Opts the batch kernel in (or out) of the vectorized whole-group walk
-/// ([`surf_simd::Kernels::walk_lanes`]); also settable at startup via the
-/// `SURF_COMPILED_SIMD_WALK` environment variable (any non-empty value other than `0`).
+/// Inference engine selection for a fitted GBRT surrogate. [`CompiledEnsemble`] is the only
+/// engine, so [`InferenceEngine::Compiled`] is the only value.
 ///
-/// **Off by default — a measured decision, not an oversight.** The walk's indices are
-/// data-dependent, so its vector form leans entirely on AVX2 hardware gathers; on every
-/// part measured so far (`vgather*` is microcoded on many) those lose to the fused scalar
-/// loop, whose 16 interleaved independent chains already keep the load ports saturated.
-/// The two paths are bit-identical (`engine_parity` runs both), so this flag only ever
-/// trades speed, never results. [`surf_simd::force_scalar`] still wins when set.
-pub fn set_simd_walk(enabled: bool) {
-    simd_walk_flag().store(enabled, Ordering::Relaxed);
+/// Serialized with model configurations. Deserialization treats an absent field as
+/// [`InferenceEngine::Compiled`], so configurations persisted before the field existed
+/// load unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+pub enum InferenceEngine {
+    /// The branchless packed-node walker ([`CompiledEnsemble`]).
+    #[default]
+    Compiled,
 }
 
-/// Whether the batch kernel dispatches the vectorized whole-group walk (see
-/// [`set_simd_walk`]).
-pub fn simd_walk_enabled() -> bool {
-    simd_walk_flag().load(Ordering::Relaxed)
+// Manual impl rather than derived: the vendored `serde` derive has no helper attributes,
+// and this field needs `#[serde(default)]` semantics — `absent()` maps a missing field to
+// the default engine so older configurations keep deserializing.
+impl serde::Deserialize for InferenceEngine {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::DeError> {
+        match value {
+            serde::Value::String(s) if s == "Compiled" => Ok(InferenceEngine::Compiled),
+            serde::Value::String(other) => Err(serde::DeError::custom(format!(
+                "unknown variant `{other}` of `InferenceEngine`"
+            ))),
+            other => Err(serde::DeError::expected(
+                "enum `InferenceEngine` representation",
+                other,
+            )),
+        }
+    }
+
+    fn absent() -> Option<Self> {
+        Some(InferenceEngine::default())
+    }
 }
 
 /// Rows per cache block of the batch kernel: the accumulators (8 KiB) plus a block of input
 /// rows stay cache-resident while every tree is streamed over them, and each streaming pass
 /// over a larger-than-cache ensemble is amortized over this many rows.
-pub(crate) const BATCH_BLOCK_ROWS: usize = 1024;
+const BATCH_BLOCK_ROWS: usize = 1024;
 
 /// Examples interleaved in the inner traversal loop — enough independent dependency chains
-/// to keep the load ports saturated while each chain waits on its next node, and exactly
-/// one [`surf_simd::LANES`] group for the vectorized node-step.
+/// to keep the load ports saturated while each chain waits on its next node.
 const GROUP: usize = 16;
-const _: () = assert!(GROUP == surf_simd::LANES);
 
 /// Hard cap on total nodes per compiled ensemble (child indices are `u32`).
 const MAX_NODES: usize = u32::MAX as usize;
@@ -145,13 +148,6 @@ pub struct CompiledEnsemble {
     plain: bool,
     /// All trees' nodes, concatenated in boosting order (each tree in arena order).
     nodes: Vec<PackedNode>,
-    /// SoA mirrors of `nodes` for the vectorized whole-group walk
-    /// ([`surf_simd::Kernels::walk_lanes`]): hardware gathers index flat per-field arrays
-    /// by node id, which the packed AoS record cannot provide.
-    soa_thresholds: Vec<f64>,
-    soa_lo: Vec<u32>,
-    soa_hi: Vec<u32>,
-    soa_features: Vec<u32>,
     /// Node index of every tree's root.
     roots: Vec<u32>,
     /// Depth of every tree — the number of branchless steps that provably reaches a leaf.
@@ -203,10 +199,6 @@ impl CompiledEnsemble {
             learning_rate,
             plain,
             nodes: Vec::new(),
-            soa_thresholds: Vec::new(),
-            soa_lo: Vec::new(),
-            soa_hi: Vec::new(),
-            soa_features: Vec::new(),
             roots: Vec::new(),
             depths: Vec::new(),
         })
@@ -235,10 +227,6 @@ impl CompiledEnsemble {
                     ..
                 } => PackedNode::new(*threshold, base + left, base + right, *feature as u16),
             };
-            self.soa_thresholds.push(packed.threshold);
-            self.soa_lo.push(packed.children[0]);
-            self.soa_hi.push(packed.children[1]);
-            self.soa_features.push(u32::from(packed.feature));
             self.nodes.push(packed);
         }
         self.roots.push(base as u32);
@@ -341,18 +329,8 @@ impl CompiledEnsemble {
     /// The inner loop interleaves [`GROUP`] examples so their branchless traversal chains
     /// overlap in the pipeline; per example the adds happen in exactly the walker's order,
     /// so results are bit-identical to [`CompiledEnsemble::predict_one`].
-    ///
-    /// Under a gather-capable [`surf_simd::Kernels`] handle (AVX2) the whole group walk is
-    /// one [`surf_simd::Kernels::walk_lanes`] call: every depth step hardware-gathers the
-    /// node fields and row values straight from the SoA mirrors and performs all 16
-    /// `x <= t` compares and child selects in vector registers — no per-step call
-    /// boundary, no scalar gather into lane temporaries. The kernel's predicate is
-    /// bit-identical to the scalar `!(x <= t)` route (NaN goes right), so both paths
-    /// produce identical bits — `engine_parity` pins this. Scalar and SSE2 handles (no
-    /// hardware gathers) keep the fused scalar loop.
     // The negated comparison is the point: `!(x <= t)` routes NaN right, as the walker does.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[allow(clippy::too_many_arguments)] // one per-tree fact each; a struct would just rename them
     #[inline]
     fn tree_over_block(
         &self,
@@ -362,32 +340,21 @@ impl CompiledEnsemble {
         width: usize,
         out: &mut [f64],
         scale: Option<f64>,
-        kernels: surf_simd::Kernels,
     ) {
-        let simd = kernels.gathers_vectorized();
         let groups = rows.chunks_exact(GROUP * width);
         let tail_rows = groups.remainder();
         let (grouped_out, tail_out) = out.split_at_mut(out.len() - tail_rows.len() / width);
         for (rows_g, out_g) in groups.zip(grouped_out.chunks_exact_mut(GROUP)) {
             let mut state = [root; GROUP];
-            if simd {
-                kernels.walk_lanes(
-                    &self.soa_thresholds,
-                    &self.soa_lo,
-                    &self.soa_hi,
-                    &self.soa_features,
-                    rows_g,
-                    width,
-                    depth,
-                    &mut state,
-                );
-            } else {
-                for _ in 0..depth {
-                    for k in 0..GROUP {
-                        let n = &self.nodes[state[k] as usize];
-                        let x = rows_g[k * width + n.feature()];
-                        state[k] = n.child(!(x <= n.threshold));
-                    }
+            // Keeps the 16 chains' node ids in one stack array. Promoted to registers, they
+            // spill, and the block kernel measured 15–30 % slower on the paper-default and
+            // grid-max ensembles (2-vCPU AVX2 host, 10k-row batches).
+            std::hint::black_box(&mut state);
+            for _ in 0..depth {
+                for k in 0..GROUP {
+                    let n = &self.nodes[state[k] as usize];
+                    let x = rows_g[k * width + n.feature()];
+                    state[k] = n.child(!(x <= n.threshold));
                 }
             }
             for k in 0..GROUP {
@@ -408,53 +375,23 @@ impl CompiledEnsemble {
     }
 
     /// The blocked batch kernel: trees outer, examples inner.
-    fn predict_block(
-        &self,
-        rows: &[f64],
-        width: usize,
-        out: &mut [f64],
-        kernels: surf_simd::Kernels,
-    ) {
+    fn predict_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         if self.plain {
-            self.tree_over_block(
-                self.roots[0],
-                self.depths[0],
-                rows,
-                width,
-                out,
-                None,
-                kernels,
-            );
+            self.tree_over_block(self.roots[0], self.depths[0], rows, width, out, None);
             return;
         }
         out.fill(self.base_prediction);
         for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-            self.tree_over_block(
-                root,
-                depth,
-                rows,
-                width,
-                out,
-                Some(self.learning_rate),
-                kernels,
-            );
+            self.tree_over_block(root, depth, rows, width, out, Some(self.learning_rate));
         }
     }
 
     fn predict_blocks(&self, data: &[f64], width: usize, out: &mut [f64]) {
-        // One dispatch query per batch (per thread); the hot loops never re-probe. The
-        // vectorized walk is opt-in (see `set_simd_walk`): without it the batch kernel
-        // pins a scalar handle and runs the fused loop, its measured-fastest path.
-        let kernels = if simd_walk_enabled() {
-            surf_simd::active()
-        } else {
-            surf_simd::Kernels::scalar()
-        };
         for (rows, slots) in data
             .chunks(BATCH_BLOCK_ROWS * width)
             .zip(out.chunks_mut(BATCH_BLOCK_ROWS))
         {
-            self.predict_block(rows, width, slots, kernels);
+            self.predict_block(rows, width, slots);
         }
     }
 

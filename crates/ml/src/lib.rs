@@ -12,13 +12,9 @@
 //!   row/feature subsampling and early stopping (the "XGB" surrogate of the paper). The
 //!   histogram engine (`GbrtParams::max_bins`) is the default; `max_bins = 0` selects the
 //!   exact engine.
-//! * [`compiled`] — the struct-of-arrays inference engine: fitted ensembles flatten once
-//!   into contiguous arrays ([`CompiledEnsemble`]) with blocked, parallel batch prediction,
-//!   bit-identical to the node-walking predictors.
-//! * [`qs`] — the QuickScorer bitvector inference engine ([`QuickScorerEnsemble`]):
-//!   feature-major sorted condition runs with checkpointed leaf-mask ANDs, plus the
-//!   [`InferenceEngine`] selection knob shared by all three engines. Bit-identical to the
-//!   walkers for every input.
+//! * [`compiled`] — the inference engine: fitted ensembles flatten once into contiguous
+//!   packed-node arrays ([`CompiledEnsemble`]) with blocked, parallel batch prediction,
+//!   bit-identical to the node-walking predictors, which stay as its test oracle.
 //! * [`linear`] — ridge regression (the "alternative ML model" of the paper's footnote 2),
 //!   used by the surrogate-ablation benches.
 //! * [`kde`] — Gaussian kernel density estimation with box-probability queries (used to guide
@@ -41,13 +37,11 @@ pub mod linear;
 pub mod matrix;
 pub mod metrics;
 pub mod parallel;
-pub mod qs;
 pub mod tree;
 
-pub use compiled::CompiledEnsemble;
+pub use compiled::{CompiledEnsemble, InferenceEngine};
 pub use error::MlError;
 pub use gbrt::{Gbrt, GbrtParams};
 pub use kde::KernelDensity;
 pub use linear::{RidgeParams, RidgeRegression};
 pub use matrix::FeatureMatrix;
-pub use qs::{InferenceEngine, QuickScorerEnsemble};

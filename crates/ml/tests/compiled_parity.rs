@@ -8,6 +8,12 @@
 //! inputs far outside the training range, for `predict_one`, `predict_batch` (at every
 //! thread count) and `predict_staged`, through single-leaf trees, deep trees and empty
 //! batches. Width mismatches must surface as typed errors, never as NaN predictions.
+//!
+//! Non-finite inputs are the routing edge: the compiled walk uses `!(x <= t)` so that NaN
+//! goes right exactly as the walker's `if x <= t { left } else { right }` does, and ±∞
+//! compare like any other value. Rows carrying NaN and ±∞ are checked on their own, and
+//! on batch sizes around the 16-row interleave group, where the grouped loop and the tail
+//! loop take different code.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,6 +46,20 @@ fn probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
     (0..n)
         .map(|_| (0..d).map(|_| rng.random_range(-50.0..50.0)).collect())
+        .collect()
+}
+
+/// Probe points with non-finite entries sprinkled in: every row carries at least one of
+/// NaN, +∞ or -∞ (in rotation), the rest stay finite.
+fn non_finite_probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
+    (0..n)
+        .map(|row| {
+            let mut values: Vec<f64> = (0..d).map(|_| rng.random_range(-10.0..10.0)).collect();
+            values[row % d] = specials[row % specials.len()];
+            values
+        })
         .collect()
 }
 
@@ -86,6 +106,44 @@ proptest! {
         }
         let flat = flatten(&inputs);
         let batch = compiled.predict_batch_threaded(&flat, d, threads).unwrap();
+        prop_assert_eq!(batch.len(), walker.len());
+        for (got, expected) in batch.iter().zip(&walker) {
+            prop_assert_eq!(got.to_bits(), expected.to_bits());
+        }
+    }
+
+    /// Rows carrying NaN and ±∞ predict bit-identically to the walker: NaN takes the right
+    /// branch of every split (`!(x <= t)`), -∞ the left, +∞ the right.
+    #[test]
+    fn non_finite_rows_bit_parity(
+        n in 5usize..=60,
+        d in 1usize..=5,
+        n_estimators in 1usize..=10,
+        max_depth in 1usize..=6,
+        threads in 1usize..=4,
+        seed in 0u64..10_000,
+    ) {
+        let (x, y) = random_data(n, d, seed);
+        let params = GbrtParams {
+            n_estimators,
+            max_depth,
+            seed,
+            ..GbrtParams::quick()
+        };
+        let model = Gbrt::fit(&x, &y, &params).unwrap();
+        let compiled = CompiledEnsemble::compile(&model).unwrap();
+
+        let inputs = non_finite_probes(24, d, seed);
+        let walker = model.predict(&inputs).unwrap();
+        for (row, expected) in inputs.iter().zip(&walker) {
+            prop_assert_eq!(
+                compiled.predict_one(row).unwrap().to_bits(),
+                expected.to_bits()
+            );
+        }
+        let batch = compiled
+            .predict_batch_threaded(&flatten(&inputs), d, threads)
+            .unwrap();
         prop_assert_eq!(batch.len(), walker.len());
         for (got, expected) in batch.iter().zip(&walker) {
             prop_assert_eq!(got.to_bits(), expected.to_bits());
@@ -189,6 +247,40 @@ proptest! {
                 compiled.predict_batch(&ragged, d),
                 Err(MlError::InvalidParameter { .. })
             ));
+        }
+    }
+}
+
+/// Deterministic tail-lane coverage: every batch size around the 16-row interleave-group
+/// boundary, with a third of the rows carrying **only** non-finite entries (NaN / ±∞ in
+/// every slot), predicts bit-identically to the walker.
+#[test]
+fn tail_lanes_and_all_non_finite_rows_match_the_walker() {
+    let (x, y) = random_data(200, 3, 42);
+    let params = GbrtParams {
+        n_estimators: 8,
+        max_depth: 6,
+        seed: 42,
+        ..GbrtParams::quick()
+    };
+    let model = Gbrt::fit(&x, &y, &params).unwrap();
+    let compiled = CompiledEnsemble::compile(&model).unwrap();
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    for n in [1usize, 2, 5, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65] {
+        let mut rows = probes(n, 3, 1_000 + n as u64);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                for (j, value) in row.iter_mut().enumerate() {
+                    *value = specials[(i + j) % specials.len()];
+                }
+            }
+        }
+        let walker = model.predict(&rows).unwrap();
+        let batch = compiled.predict_batch(&flatten(&rows), 3).unwrap();
+        assert_eq!(batch.len(), walker.len());
+        for (i, (got, expected)) in batch.iter().zip(&walker).enumerate() {
+            assert_eq!(got.to_bits(), expected.to_bits(), "n={n} row={i}");
         }
     }
 }

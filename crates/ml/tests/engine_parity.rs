@@ -1,28 +1,24 @@
-//! Property suite: all **three** inference engines — the node-walking predictor, the
-//! compiled struct-of-arrays engine and the QuickScorer bitvector engine — are
-//! **bit-identical** for every input.
+//! Property suite: the **three** inference paths of a fitted model — the node-walking
+//! predictor, the compiled engine's single-row walk (`predict_one` / `predict_staged`) and
+//! its blocked, 16-row-interleaved batch kernel (`predict_batch_into` /
+//! `predict_batch_threaded`) — are **bit-identical** for every input, and reject malformed
+//! input with the same typed errors.
 //!
-//! The compiled engine replays the walker's comparison sequence over rearranged storage;
-//! QuickScorer replaces the walk entirely with mask ANDs whose violation predicate
-//! `!(x <= t)` routes exactly where the walker's `x <= t` branch does — including NaN
-//! (which violates every condition and always exits right) and ±∞. Bit-identity therefore
-//! must hold for *arbitrary* fitted models and *arbitrary* inputs: subsampled and
-//! column-subsampled ensembles, single-leaf trees, empty batches, non-finite rows, and
-//! every thread count. Width mismatches must surface as typed errors on each engine,
-//! never as NaN predictions.
+//! `compiled_parity` pins the compiled engine to the walker on batches of at most a few
+//! hundred rows. This suite covers what those properties leave out:
 //!
-//! Both batch engines additionally dispatch their hot loops through `surf_simd` (scalar /
-//! SSE2 / AVX2, probed at runtime), so bit-identity must also hold **across kernel
-//! dispatch**: the forced-scalar path and whatever ISA the running CPU dispatches to must
-//! produce identical bits — including batch sizes that leave tail lanes beyond the 16-row
-//! interleave groups, and rows whose every entry is non-finite.
+//! - batches of up to a few thousand rows, which span several cache blocks and so take the
+//!   threaded fan-out (smaller batches run on the calling thread whatever the thread count);
+//! - output buffers that arrive dirty: every slot must be overwritten, none accumulated into;
+//! - every staged round of a model, from 0 past the last tree, on finite and non-finite rows;
+//! - single trees (raw leaf values, no base or shrinkage) on NaN / ±∞ rows and large batches;
+//! - the walker and the compiled engine returning the *same* error for the same bad input.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surf_ml::compiled::CompiledEnsemble;
 use surf_ml::gbrt::{Gbrt, GbrtParams};
-use surf_ml::qs::QuickScorerEnsemble;
 use surf_ml::tree::{RegressionTree, TreeParams};
 use surf_ml::MlError;
 
@@ -70,78 +66,25 @@ fn flatten(rows: &[Vec<f64>]) -> Vec<f64> {
     rows.iter().flatten().copied().collect()
 }
 
-/// Serializes test windows that touch the process-wide force-scalar flag, so a
-/// "dispatched" computation in one test cannot be silently downgraded to scalar by
-/// another test's forced window running concurrently.
-static DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Runs `scalar` with scalar dispatch forced and `dispatched` with the CPU's detected
-/// ISA, under the lock, restoring the prior force state (it may be pinned by
-/// `SURF_FORCE_SCALAR=1`, under which both closures legitimately run scalar — the
-/// comparison is then trivially green and the CI matrix covers the SIMD leg elsewhere).
-/// The dispatched leg also opts the compiled engine into its vectorized whole-group walk
-/// (off in production — measured slower than the fused scalar loop — but exactly the
-/// path whose bit-identity this suite must pin).
-fn scalar_and_dispatched<T>(scalar: impl FnOnce() -> T, dispatched: impl FnOnce() -> T) -> (T, T) {
-    let _guard = DISPATCH_LOCK.lock().unwrap();
-    let prev = surf_simd::scalar_forced();
-    let prev_walk = surf_ml::compiled::simd_walk_enabled();
-    surf_simd::force_scalar(true);
-    let s = scalar();
-    surf_simd::force_scalar(prev);
-    surf_ml::compiled::set_simd_walk(true);
-    let d = dispatched();
-    surf_ml::compiled::set_simd_walk(prev_walk);
-    (s, d)
-}
-
-/// Asserts both batch engines reproduce `walker` bit for bit at `threads`, scalar and
-/// batched alike.
-fn assert_three_way(
-    inputs: &[Vec<f64>],
-    walker: &[f64],
-    compiled: &CompiledEnsemble,
-    quickscorer: &QuickScorerEnsemble,
-    d: usize,
-    threads: usize,
-) {
-    for (row, expected) in inputs.iter().zip(walker) {
-        assert_eq!(
-            compiled.predict_one(row).unwrap().to_bits(),
-            expected.to_bits()
-        );
-        assert_eq!(
-            quickscorer.predict_one(row).unwrap().to_bits(),
-            expected.to_bits()
-        );
-    }
-    let flat = flatten(inputs);
-    let compiled_batch = compiled.predict_batch_threaded(&flat, d, threads).unwrap();
-    let quickscorer_batch = quickscorer
-        .predict_batch_threaded(&flat, d, threads)
-        .unwrap();
-    assert_eq!(compiled_batch.len(), walker.len());
-    assert_eq!(quickscorer_batch.len(), walker.len());
-    for ((c, q), expected) in compiled_batch.iter().zip(&quickscorer_batch).zip(walker) {
-        assert_eq!(c.to_bits(), expected.to_bits());
-        assert_eq!(q.to_bits(), expected.to_bits());
-    }
+fn width_mismatch(expected: usize, actual: usize) -> MlError {
+    MlError::FeatureWidthMismatch { expected, actual }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `predict_one` and `predict_batch` (sequential and threaded) of both batch engines
-    /// are bit-identical to the boosting walker on arbitrary finite inputs, across
-    /// subsampled and column-subsampled ensembles.
+    /// The walker, the compiled single-row walk and the compiled batch kernel agree bit
+    /// for bit on batches of 1 to 3,000 rows at 1–4 threads, and `predict_batch_into`
+    /// overwrites a NaN-filled output buffer completely.
     #[test]
     fn three_engine_bit_parity(
-        n in 5usize..=120,
+        n in 5usize..=80,
         d in 1usize..=5,
-        n_estimators in 1usize..=12,
+        n_estimators in 1usize..=8,
         max_depth in 1usize..=6,
         subsample in 0.6f64..=1.0,
         colsample in 0.4f64..=1.0,
+        rows in 1usize..=3_000,
         threads in 1usize..=4,
         seed in 0u64..10_000,
     ) {
@@ -156,82 +99,75 @@ proptest! {
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-        prop_assert_eq!(quickscorer.n_trees(), model.n_trees());
 
-        let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(20, d, seed)).collect();
+        let inputs = probes(rows, d, seed);
         let walker = model.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, threads);
+        let flat = flatten(&inputs);
+        let threaded = compiled.predict_batch_threaded(&flat, d, threads).unwrap();
+        let mut into = vec![f64::NAN; rows];
+        compiled.predict_batch_into(&flat, d, &mut into).unwrap();
+        prop_assert_eq!(threaded.len(), rows);
+        for (i, expected) in walker.iter().enumerate() {
+            let expected = expected.to_bits();
+            prop_assert_eq!(compiled.predict_one(&inputs[i]).unwrap().to_bits(), expected);
+            prop_assert_eq!(threaded[i].to_bits(), expected, "threaded row {}", i);
+            prop_assert_eq!(into[i].to_bits(), expected, "into row {}", i);
+        }
     }
 
-    /// Rows carrying NaN and ±∞ predict bit-identically across all three engines: NaN
-    /// violates every split condition (`!(x <= t)`) exactly like the walker's false
-    /// branch, -∞ none, +∞ all.
-    #[test]
-    fn non_finite_rows_bit_parity(
-        n in 5usize..=60,
-        d in 1usize..=5,
-        n_estimators in 1usize..=10,
-        max_depth in 1usize..=6,
-        threads in 1usize..=4,
-        seed in 0u64..10_000,
-    ) {
-        let (x, y) = random_data(n, d, seed);
-        let params = GbrtParams {
-            n_estimators,
-            max_depth,
-            seed,
-            ..GbrtParams::quick()
-        };
-        let model = Gbrt::fit(&x, &y, &params).unwrap();
-        let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-
-        let inputs = non_finite_probes(24, d, seed);
-        let walker = model.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, threads);
-    }
-
-    /// Staged prediction (any number of rounds, including 0 and past the end) matches the
-    /// walker bit for bit on both batch engines.
+    /// Staged prediction matches the walker at every round from 0 to two past the last
+    /// tree, on finite and non-finite rows; round 0 is the base prediction and staging
+    /// through every tree is the full prediction, on both engines.
     #[test]
     fn staged_bit_parity(
         n in 10usize..=80,
         d in 1usize..=3,
         n_estimators in 1usize..=10,
-        rounds in 0usize..=14,
         seed in 0u64..10_000,
     ) {
         let (x, y) = random_data(n, d, seed);
         let params = GbrtParams {
             n_estimators,
+            seed,
             ..GbrtParams::quick()
         };
         let model = Gbrt::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-        for row in x.iter().take(10) {
-            let expected = model.predict_staged(row, rounds).unwrap();
-            prop_assert_eq!(
-                compiled.predict_staged(row, rounds).unwrap().to_bits(),
-                expected.to_bits()
-            );
-            prop_assert_eq!(
-                quickscorer.predict_staged(row, rounds).unwrap().to_bits(),
-                expected.to_bits()
-            );
+        let trees = model.n_trees();
+        let rows: Vec<Vec<f64>> = x
+            .into_iter()
+            .take(5)
+            .chain(non_finite_probes(6, d, seed))
+            .collect();
+        for row in &rows {
+            for rounds in 0..=trees + 2 {
+                prop_assert_eq!(
+                    compiled.predict_staged(row, rounds).unwrap().to_bits(),
+                    model.predict_staged(row, rounds).unwrap().to_bits(),
+                    "rounds {}", rounds
+                );
+            }
+            let base = model.base_prediction().to_bits();
+            prop_assert_eq!(model.predict_staged(row, 0).unwrap().to_bits(), base);
+            prop_assert_eq!(compiled.predict_staged(row, 0).unwrap().to_bits(), base);
+            let full = model.predict_one(row).unwrap().to_bits();
+            prop_assert_eq!(model.predict_staged(row, trees).unwrap().to_bits(), full);
+            prop_assert_eq!(compiled.predict_staged(row, trees).unwrap().to_bits(), full);
+            prop_assert_eq!(compiled.predict_one(row).unwrap().to_bits(), full);
         }
     }
 
-    /// A single compiled tree matches the tree walker bit for bit on both engines —
-    /// including trees that collapse to a single leaf (constant targets), whose
-    /// QuickScorer form has an empty condition list and a one-bit mask arena.
+    /// A compiled single tree matches the tree walker bit for bit on NaN / ±∞ rows and on
+    /// batches of up to 2,500 rows at 1–4 threads — including trees that collapse to a
+    /// single leaf (constant targets), whose depth-0 walk reads the root directly.
     #[test]
     fn tree_bit_parity(
         n in 2usize..=100,
         d in 1usize..=4,
         max_depth in 1usize..=8,
         constant_flag in 0usize..=1,
+        rows in 1usize..=2_500,
+        threads in 1usize..=4,
         seed in 0u64..10_000,
     ) {
         let constant_targets = constant_flag == 1;
@@ -242,162 +178,86 @@ proptest! {
         let params = TreeParams { max_depth, ..TreeParams::default() };
         let tree = RegressionTree::fit(&x, &y, &params).unwrap();
         let compiled = CompiledEnsemble::from_tree(&tree).unwrap();
-        let quickscorer = QuickScorerEnsemble::from_tree(&tree).unwrap();
         if constant_targets {
             prop_assert_eq!(tree.node_count(), 1);
-            prop_assert_eq!(quickscorer.condition_count(), 0);
+            prop_assert_eq!(compiled.node_count(), 1);
         }
-        let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(10, d, seed)).collect();
+        let inputs: Vec<Vec<f64>> = non_finite_probes(24, d, seed)
+            .into_iter()
+            .chain(probes(rows, d, seed))
+            .collect();
         let walker = tree.predict(&inputs).unwrap();
-        assert_three_way(&inputs, &walker, &compiled, &quickscorer, d, 1);
+        let batch = compiled
+            .predict_batch_threaded(&flatten(&inputs), d, threads)
+            .unwrap();
+        prop_assert_eq!(batch.len(), walker.len());
+        for (i, (got, expected)) in batch.iter().zip(&walker).enumerate() {
+            prop_assert_eq!(
+                compiled.predict_one(&inputs[i]).unwrap().to_bits(),
+                expected.to_bits()
+            );
+            prop_assert_eq!(got.to_bits(), expected.to_bits(), "row {}", i);
+        }
     }
 
-    /// Empty batches yield empty outputs; width mismatches are typed errors on every
-    /// QuickScorer entry point (never NaN-filled results), mirroring the compiled engine.
+    /// Empty batches are empty on every engine and thread count. A row of the wrong width
+    /// is the same typed error on the walker and the compiled engine, for ensembles and
+    /// single trees alike; ragged flat buffers and output buffers of the wrong length are
+    /// rejected without writing a slot.
     #[test]
     fn empty_batches_and_width_mismatches(
         d in 1usize..=4,
         offset in 1usize..=6,
+        threads in 1usize..=4,
         seed in 0u64..1_000,
     ) {
         // `wrong` is always a different, positive width.
         let wrong = d + offset;
         let (x, y) = random_data(30, d, seed);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(3)).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
+        let compiled = CompiledEnsemble::compile(&model).unwrap();
+        let tree = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
+        let compiled_tree = CompiledEnsemble::from_tree(&tree).unwrap();
 
-        prop_assert!(quickscorer.predict_batch(&[], d).unwrap().is_empty());
-        let mut empty_out: [f64; 0] = [];
-        prop_assert!(quickscorer.predict_batch_into(&[], d, &mut empty_out).is_ok());
+        prop_assert!(model.predict(&[]).unwrap().is_empty());
+        prop_assert!(tree.predict(&[]).unwrap().is_empty());
+        for engine in [&compiled, &compiled_tree] {
+            prop_assert!(engine.predict_batch_threaded(&[], d, threads).unwrap().is_empty());
+            let mut empty_out: [f64; 0] = [];
+            prop_assert!(engine.predict_batch_into(&[], d, &mut empty_out).is_ok());
+        }
 
         let row = vec![0.5; wrong];
-        prop_assert_eq!(
-            quickscorer.predict_one(&row),
-            Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
-        );
-        prop_assert_eq!(
-            quickscorer.predict_staged(&row, 1),
-            Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
-        );
-        prop_assert!(matches!(
-            quickscorer.predict_batch(&row, wrong),
-            Err(MlError::FeatureWidthMismatch { .. })
-        ));
+        let err = width_mismatch(d, wrong);
+        prop_assert_eq!(model.predict_one(&row), Err(err.clone()));
+        prop_assert_eq!(compiled.predict_one(&row), Err(err.clone()));
+        prop_assert_eq!(model.predict_staged(&row, 1), Err(err.clone()));
+        prop_assert_eq!(compiled.predict_staged(&row, 1), Err(err.clone()));
+        prop_assert_eq!(tree.predict_one(&row), Err(err.clone()));
+        prop_assert_eq!(compiled_tree.predict_one(&row), Err(err.clone()));
+        // The walker checks each row's width, the compiled engine the declared one.
+        let batch = vec![x[0].clone(), row.clone()];
+        prop_assert_eq!(model.predict(&batch), Err(err.clone()));
+        prop_assert_eq!(tree.predict(&batch), Err(err.clone()));
+        prop_assert_eq!(compiled.predict_batch_threaded(&row, wrong, threads), Err(err.clone()));
+        prop_assert_eq!(compiled_tree.predict_batch_threaded(&row, wrong, threads), Err(err));
+
         // A flat buffer that is not a whole number of rows is rejected, not truncated.
         let ragged = vec![0.25; d + (d + 1)];
         if ragged.len() % d != 0 {
             prop_assert!(matches!(
-                quickscorer.predict_batch(&ragged, d),
+                compiled.predict_batch_threaded(&ragged, d, threads),
                 Err(MlError::InvalidParameter { .. })
             ));
         }
-    }
-
-    /// The forced-scalar and CPU-dispatched kernel paths of both batch engines are
-    /// bit-identical to each other and to the walker, for arbitrary models, arbitrary
-    /// batch sizes (including non-multiples of the 16-row group) and rows mixing finite
-    /// with non-finite values.
-    #[test]
-    fn forced_scalar_matches_dispatched(
-        n in 1usize..=90,
-        d in 1usize..=5,
-        n_estimators in 1usize..=10,
-        max_depth in 1usize..=7,
-        threads in 1usize..=3,
-        seed in 0u64..10_000,
-    ) {
-        let (x, y) = random_data(n.max(5), d, seed);
-        let params = GbrtParams {
-            n_estimators,
-            max_depth,
-            seed,
-            ..GbrtParams::quick()
-        };
-        let model = Gbrt::fit(&x, &y, &params).unwrap();
-        let compiled = CompiledEnsemble::compile(&model).unwrap();
-        let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-
-        let inputs: Vec<Vec<f64>> = probes(n, d, seed)
-            .into_iter()
-            .chain(non_finite_probes(n.min(24), d, seed))
-            .collect();
-        let walker = model.predict(&inputs).unwrap();
-        let flat = flatten(&inputs);
-
-        let run = || {
-            (
-                compiled.predict_batch_threaded(&flat, d, threads).unwrap(),
-                quickscorer.predict_batch_threaded(&flat, d, threads).unwrap(),
-            )
-        };
-        let ((scalar_c, scalar_q), (disp_c, disp_q)) = scalar_and_dispatched(run, run);
-        for i in 0..walker.len() {
-            prop_assert_eq!(scalar_c[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(scalar_q[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(disp_c[i].to_bits(), walker[i].to_bits());
-            prop_assert_eq!(disp_q[i].to_bits(), walker[i].to_bits());
-        }
-    }
-}
-
-/// Deterministic tail-lane coverage: every batch size around the 16-row interleave-group
-/// boundary, with a third of the rows carrying **only** non-finite entries (NaN / ±∞ in
-/// every slot), must be bit-identical between the forced-scalar and dispatched kernel
-/// paths on both batch engines.
-#[test]
-fn tail_lanes_and_all_non_finite_rows_match_across_dispatch() {
-    let (x, y) = random_data(200, 3, 42);
-    let params = GbrtParams {
-        n_estimators: 8,
-        max_depth: 6,
-        seed: 42,
-        ..GbrtParams::quick()
-    };
-    let model = Gbrt::fit(&x, &y, &params).unwrap();
-    let compiled = CompiledEnsemble::compile(&model).unwrap();
-    let quickscorer = QuickScorerEnsemble::compile(&model).unwrap();
-    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-
-    for n in [1usize, 2, 5, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65] {
-        let mut rows = probes(n, 3, 1_000 + n as u64);
-        for (i, row) in rows.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                for (j, value) in row.iter_mut().enumerate() {
-                    *value = specials[(i + j) % specials.len()];
-                }
-            }
-        }
-        let walker = model.predict(&rows).unwrap();
-        let flat = flatten(&rows);
-        let run = || {
-            (
-                compiled.predict_batch(&flat, 3).unwrap(),
-                quickscorer.predict_batch(&flat, 3).unwrap(),
-            )
-        };
-        let ((scalar_c, scalar_q), (disp_c, disp_q)) = scalar_and_dispatched(run, run);
-        for i in 0..walker.len() {
-            let expected = walker[i].to_bits();
-            assert_eq!(
-                scalar_c[i].to_bits(),
-                expected,
-                "compiled scalar n={n} row={i}"
-            );
-            assert_eq!(
-                scalar_q[i].to_bits(),
-                expected,
-                "quickscorer scalar n={n} row={i}"
-            );
-            assert_eq!(
-                disp_c[i].to_bits(),
-                expected,
-                "compiled dispatched n={n} row={i}"
-            );
-            assert_eq!(
-                disp_q[i].to_bits(),
-                expected,
-                "quickscorer dispatched n={n} row={i}"
-            );
+        let flat = flatten(&x);
+        for len in [x.len() - 1, x.len() + 1] {
+            let mut out = vec![f64::NAN; len];
+            prop_assert!(matches!(
+                compiled.predict_batch_into(&flat, d, &mut out),
+                Err(MlError::LengthMismatch { .. })
+            ));
+            prop_assert!(out.iter().all(|v| v.is_nan()));
         }
     }
 }

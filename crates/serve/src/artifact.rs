@@ -35,9 +35,9 @@ use crate::error::ServeError;
 /// histogram-engine knob (nested in `SurfState::config`), changing the fitted-state layout;
 /// `3` — `GbrtParams` gained the `colsample` per-tree feature-subsampling knob;
 /// `4` — `SurfConfig` gained the `inference_engine` knob selecting the batch-prediction
-/// kernel (walker / compiled / quickscorer), so a served model keeps the engine it was
-/// deployed with.
-pub const SCHEMA_VERSION: u64 = 4;
+/// engine; `5` — the compiled engine became the only one, so `inference_engine` accepts
+/// only `Compiled` (older artifacts are retrained, not migrated).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Descriptive metadata of a persisted surrogate, denormalized out of the fitted state so
 /// registries and `/models` listings can describe a model cheaply.

@@ -19,7 +19,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use surf_ml::qs::InferenceEngine;
 use surf_obs::metrics::{default_duration_bounds, Counter, Gauge, Histogram, MetricsRegistry};
 use surf_obs::trace::{FlightRecorder, Trace};
 use surf_obs::{ObsConfig, Snapshot};
@@ -81,68 +80,6 @@ impl RouteStats {
     }
 }
 
-/// The `predict_batch` wall-time histogram family (`surf_serve_kernel_nanos`), one series
-/// per inference engine — every `/predict` evaluation observes into the series of the
-/// engine that actually ran, so a deployment mixing quickscorer and compiled models can
-/// attribute kernel time per engine. All three series are registered up front (standard
-/// pre-declared label values), so `/metrics` exposes the family's full label space from
-/// the first scrape.
-///
-/// Each series also carries a `kernel` label naming the `surf_simd` dispatch its engine
-/// runs under (see [`engine_kernel`]), resolved when the server started — dispatch is
-/// decided once per process (the probe is cached), so the label cannot drift mid-run
-/// unless a test harness flips the force-scalar override, which no server does.
-#[derive(Clone)]
-pub struct KernelStats {
-    walker: Arc<Histogram>,
-    compiled: Arc<Histogram>,
-    quickscorer: Arc<Histogram>,
-}
-
-/// The `surf_simd` dispatch label `engine`'s hot loop actually runs under. The walker has
-/// no SIMD path, so it is always `scalar`. The compiled engine's vectorized walk is
-/// opt-in and off by default — its fused scalar loop measured faster than AVX2 gathers on
-/// every part benched (see [`surf_ml::compiled::set_simd_walk`]) — so it reports `scalar`
-/// unless the walk was enabled. QuickScorer's mask/fence kernels always dispatch the
-/// active ISA. `/metrics` series labels and `/stats.engines` both route through here, so
-/// the two surfaces cannot disagree.
-pub(crate) fn engine_kernel(engine: InferenceEngine) -> &'static str {
-    match engine {
-        InferenceEngine::Walker => surf_simd::Isa::Scalar.label(),
-        InferenceEngine::Compiled if !surf_ml::compiled::simd_walk_enabled() => {
-            surf_simd::Isa::Scalar.label()
-        }
-        _ => surf_simd::active().isa().label(),
-    }
-}
-
-impl KernelStats {
-    pub(crate) fn new(registry: &MetricsRegistry, bounds: &[u64]) -> Self {
-        let series = |engine: InferenceEngine| {
-            registry.histogram_with(
-                "surf_serve_kernel_nanos",
-                "predict_batch wall time of a /predict evaluation, by inference engine and simd kernel",
-                bounds,
-                &[("engine", engine.label()), ("kernel", engine_kernel(engine))],
-            )
-        };
-        KernelStats {
-            walker: series(InferenceEngine::Walker),
-            compiled: series(InferenceEngine::Compiled),
-            quickscorer: series(InferenceEngine::QuickScorer),
-        }
-    }
-
-    /// The histogram series recording `engine`'s calls.
-    pub fn for_engine(&self, engine: InferenceEngine) -> &Arc<Histogram> {
-        match engine {
-            InferenceEngine::Walker => &self.walker,
-            InferenceEngine::Compiled => &self.compiled,
-            InferenceEngine::QuickScorer => &self.quickscorer,
-        }
-    }
-}
-
 /// The per-server observability state: registry, route stats, breakdown histograms,
 /// connection instruments and the flight recorder.
 pub struct ServeObs {
@@ -159,8 +96,8 @@ pub struct ServeObs {
     pub recv_parse: Arc<Histogram>,
     /// Parsed request to handler-pool dequeue.
     pub queue_wait: Arc<Histogram>,
-    /// `predict_batch` wall time of a `/predict` evaluation, labelled by engine.
-    pub kernel: KernelStats,
+    /// `predict_batch` wall time of a `/predict` evaluation.
+    pub kernel: Arc<Histogram>,
     /// One reactor write-flush pass over a connection with pending bytes.
     pub write_flush: Arc<Histogram>,
     /// Currently open client connections.
@@ -198,7 +135,11 @@ impl ServeObs {
                 "Parsed heavy request to handler-pool dequeue",
                 &bounds,
             ),
-            kernel: KernelStats::new(&registry, &bounds),
+            kernel: registry.histogram(
+                "surf_serve_kernel_nanos",
+                "predict_batch wall time of a /predict evaluation",
+                &bounds,
+            ),
             write_flush: registry.histogram(
                 "surf_serve_write_flush_nanos",
                 "One write-flush pass over a connection with pending response bytes",
@@ -321,33 +262,6 @@ pub fn metrics_snapshot(context: &ServeContext) -> Snapshot {
         &[],
         context.registry.len().unwrap_or(0) as i64,
     );
-
-    // Info-style dispatch gauge: 1 on the ISA the batch engines' surf_simd kernels
-    // dispatch to, 0 on the others — the full label space is always exposed so a scrape
-    // can alert on `surf_simd_dispatch{isa="scalar"} == 1` fleet-wide.
-    let active_isa = surf_simd::active().isa();
-    for isa in surf_simd::Isa::ALL {
-        snapshot.push_gauge(
-            "surf_simd_dispatch",
-            "SIMD kernel dispatch of the batch inference engines: 1 on the active ISA",
-            &[("isa", isa.label())],
-            i64::from(isa == active_isa),
-        );
-    }
-
-    // One-shot per-model gauge: recorded once when the artifact's QuickScorer ensemble is
-    // compiled at load, then served unchanged. `/stats` exposes the same registry view
-    // (`ModelRegistry::engine_stats`), so the two endpoints cannot drift.
-    for stats in context.registry.engine_stats().unwrap_or_default() {
-        if let Some(seconds) = stats.qs_compile_seconds {
-            snapshot.push_gauge_f64(
-                "surf_qs_compile_seconds",
-                "Seconds spent compiling the QuickScorer ensemble at model load",
-                &[("model", stats.model.as_str())],
-                seconds,
-            );
-        }
-    }
 
     let cache = context.cache.stats();
     snapshot.push_counter(

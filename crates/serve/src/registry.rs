@@ -41,24 +41,6 @@ pub struct ModelInfo {
     pub metadata: ArtifactMetadata,
 }
 
-/// Per-model inference-engine facts, surfaced both in `/stats` and — for models compiled
-/// with the QuickScorer engine — as `surf_qs_compile_seconds` gauges in `/metrics`. Both
-/// endpoints read this same registry view, so the numbers cannot drift.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelEngineStats {
-    /// Registered model name.
-    pub model: String,
-    /// Label of the engine serving it (`walker` / `compiled` / `quickscorer`).
-    pub engine: String,
-    /// `surf_simd` kernel dispatch the engine runs under (`scalar` / `sse2` / `avx2`);
-    /// always `scalar` for the walker (no SIMD path) and for the compiled engine unless
-    /// its opt-in vectorized walk is enabled (see [`surf_ml::compiled::set_simd_walk`]).
-    pub kernel: String,
-    /// Seconds spent compiling the QuickScorer ensemble at model load; absent on models
-    /// whose engine never compiled one.
-    pub qs_compile_seconds: Option<f64>,
-}
-
 /// Named slots of servable models behind a reader/writer lock.
 #[derive(Default)]
 pub struct ModelRegistry {
@@ -174,30 +156,6 @@ impl ModelRegistry {
             .collect();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(infos)
-    }
-
-    /// Per-model inference-engine facts, sorted by model name (see [`ModelEngineStats`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::LockPoisoned`] when the registry lock is poisoned.
-    pub fn engine_stats(&self) -> Result<Vec<ModelEngineStats>, ServeError> {
-        let slots = self.read_slots()?;
-        let mut stats: Vec<ModelEngineStats> = slots
-            .values()
-            .map(|m| {
-                let surrogate = m.engine.surrogate();
-                let engine = surrogate.engine();
-                ModelEngineStats {
-                    model: m.name.clone(),
-                    engine: engine.label().to_string(),
-                    kernel: crate::obs::engine_kernel(engine).to_string(),
-                    qs_compile_seconds: surrogate.qs_compile_seconds(),
-                }
-            })
-            .collect();
-        stats.sort_by(|a, b| a.model.cmp(&b.model));
-        Ok(stats)
     }
 
     /// Number of registered models.

@@ -25,7 +25,7 @@ use surf_obs::TraceSample;
 use crate::cache::CacheStats;
 use crate::error::ServeError;
 use crate::http::{Request, CONTENT_TYPE_JSON, CONTENT_TYPE_METRICS};
-use crate::registry::{ModelEngineStats, ModelInfo};
+use crate::registry::ModelInfo;
 use crate::server::{EndpointSnapshot, ServeContext};
 
 /// A region in center / half-length form, as accepted on the wire.
@@ -166,9 +166,6 @@ pub struct StatsResponse {
     pub admission_rejects: u64,
     /// Prediction-cache counters.
     pub cache: CacheStats,
-    /// Per-model inference-engine facts (engine label, QuickScorer compile time) — the
-    /// same registry view behind the `surf_qs_compile_seconds` gauges in `/metrics`.
-    pub engines: Vec<ModelEngineStats>,
     /// `/predict` latency counters.
     pub predict: EndpointSnapshot,
     /// `/mine` latency counters.
@@ -277,7 +274,6 @@ fn stats(context: &ServeContext) -> Result<String, ServeError> {
         queue_depth: context.queue_depth(),
         admission_rejects: obs.admission_rejects(),
         cache: context.cache.stats(),
-        engines: context.registry.engine_stats()?,
         predict: obs.predict.snapshot(),
         mine: obs.mine.snapshot(),
         other: obs.other.snapshot(),

@@ -134,18 +134,16 @@ impl ServeContext {
     }
 
     /// Evaluates regions against a model's surrogate in one `predict_batch` call, timed
-    /// into the `kernel` histogram of the engine that ran and the request's trace.
+    /// into the `kernel` histogram and the request's trace.
     pub(crate) fn evaluate_regions(
         &self,
         model: &Arc<ServableModel>,
         regions: &[Region],
     ) -> Vec<f64> {
-        let surrogate = model.engine.surrogate();
         let timer = self.obs.timer();
         let span = surf_obs::trace::span_timer();
-        let values = surf_core::Surrogate::predict_batch(surrogate, regions);
-        self.obs
-            .observe(self.obs.kernel.for_engine(surrogate.engine()), timer);
+        let values = surf_core::Surrogate::predict_batch(model.engine.surrogate(), regions);
+        self.obs.observe(&self.obs.kernel, timer);
         surf_obs::trace::record_span("kernel", span);
         values
     }

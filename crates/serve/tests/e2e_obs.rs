@@ -12,7 +12,6 @@ use surf_core::{Surf, SurfConfig};
 use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
-use surf_ml::qs::InferenceEngine;
 use surf_obs::expo;
 use surf_optim::gso::GsoParams;
 use surf_serve::cache::CacheConfig;
@@ -21,10 +20,6 @@ use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec, StatsResponse
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
 
 fn quick_engine(seed: u64) -> Surf {
-    quick_engine_with(seed, InferenceEngine::Compiled)
-}
-
-fn quick_engine_with(seed: u64, inference: InferenceEngine) -> Surf {
     let synthetic = SyntheticDataset::generate(
         &SyntheticSpec::density(2, 1)
             .with_points(1_500)
@@ -38,7 +33,6 @@ fn quick_engine_with(seed: u64, inference: InferenceEngine) -> Surf {
         .gso(GsoParams::quick().with_iterations(25))
         .kde_sample(96)
         .seed(seed)
-        .inference_engine(inference)
         .build();
     Surf::fit(&synthetic.dataset, &config).unwrap()
 }
@@ -157,50 +151,20 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
             "{stage} must have observations after traffic"
         );
     }
-    // The kernel histogram is labelled by inference engine; the test model serves with
-    // the default compiled engine, so that series carries every observation.
-    assert!(
-        labeled(
-            &samples,
-            "surf_serve_kernel_nanos_count",
-            "engine",
-            "compiled"
-        ) > 0.0,
-        "surf_serve_kernel_nanos_count{{engine=\"compiled\"}} must have observations"
-    );
-    // SIMD dispatch visibility: the info gauge marks exactly the active ISA with 1 over
-    // the full pre-declared label space, the compiled series carries its effective
-    // dispatch as its `kernel` label (scalar unless the opt-in vectorized walk is on —
-    // its fused scalar loop measured faster than AVX2 gathers), and `/stats.engines`
-    // reports the same per model.
-    let active_isa = surf_simd::active().isa();
-    for isa in surf_simd::Isa::ALL {
-        assert_eq!(
-            labeled(&samples, "surf_simd_dispatch", "isa", isa.label()),
-            f64::from(u8::from(isa == active_isa)),
-            "surf_simd_dispatch{{isa=\"{}\"}}",
-            isa.label()
-        );
-    }
-    let compiled_kernel = if surf_ml::compiled::simd_walk_enabled() {
-        active_isa.label()
-    } else {
-        surf_simd::Isa::Scalar.label()
-    };
-    let kernel_series = samples
+    // One unlabelled kernel series carries every `/predict` evaluation.
+    let kernel_series: Vec<_> = samples
         .iter()
-        .find(|s| {
-            s.name == "surf_serve_kernel_nanos_count" && s.label("engine") == Some("compiled")
-        })
-        .expect("compiled kernel series");
+        .filter(|s| s.name == "surf_serve_kernel_nanos_count")
+        .collect();
     assert_eq!(
-        kernel_series.label("kernel"),
-        Some(compiled_kernel),
-        "kernel label must name the compiled engine's effective dispatch"
+        kernel_series.len(),
+        1,
+        "one kernel series: {kernel_series:?}"
     );
+    assert!(kernel_series[0].labels.is_empty(), "{kernel_series:?}");
     assert!(
-        stats.engines.iter().all(|e| e.kernel == compiled_kernel),
-        "/stats.engines must report the effective kernel (compiled-engine model)"
+        kernel_series[0].value > 0.0,
+        "surf_serve_kernel_nanos_count must have observations"
     );
 
     // `/stats` is a view over the same registry: route counters must agree exactly
@@ -280,53 +244,6 @@ fn mine_records_gso_passes_and_density_weights() {
     {
         assert!(value(&samples, "surf_optim_density_weights_nanos_count") > 0.0);
     }
-
-    handle.shutdown();
-}
-
-/// A model deployed with the QuickScorer engine records its kernel time under the
-/// `engine="quickscorer"` series (and nothing under the others), exposes its one-off
-/// compile cost as a `surf_qs_compile_seconds` gauge, and `/stats.engines` reports the
-/// exact same registry view.
-#[test]
-fn quickscorer_engine_records_compile_gauge_and_labelled_kernel() {
-    let engine = quick_engine_with(59, InferenceEngine::QuickScorer);
-    let handle = start(&engine, obs_config());
-    let addr = handle.addr().to_string();
-
-    let (samples, stats, _body) = drive_and_scrape(&addr);
-
-    assert!(
-        labeled(
-            &samples,
-            "surf_serve_kernel_nanos_count",
-            "engine",
-            "quickscorer"
-        ) > 0.0,
-        "kernel time must land on the quickscorer series"
-    );
-    assert_eq!(
-        labeled(
-            &samples,
-            "surf_serve_kernel_nanos_count",
-            "engine",
-            "compiled"
-        ),
-        0.0,
-        "no observation may land on an engine that never ran"
-    );
-
-    let gauge = labeled(&samples, "surf_qs_compile_seconds", "model", "m");
-    assert!(gauge > 0.0, "compile time must be recorded at model load");
-    let entry = stats
-        .engines
-        .iter()
-        .find(|e| e.model == "m")
-        .expect("/stats must report the model's engine");
-    assert_eq!(entry.engine, "quickscorer");
-    // Shortest-round-trip float rendering: the scraped gauge is bit-identical to the
-    // registry value `/stats` serves.
-    assert_eq!(entry.qs_compile_seconds, Some(gauge));
 
     handle.shutdown();
 }

@@ -1,83 +1,33 @@
 //! # surf-simd
 //!
-//! Explicit SIMD primitives for the `surf_ml` inference engines, behind a safe,
-//! runtime-dispatched API.
+//! The host instruction-set probe that benchmark artifacts are stamped with, so numbers
+//! measured on different machines are never compared as if they were one host's.
 //!
-//! All three engines previously relied on autovectorization of safe scalar code — which on
-//! the default `x86-64` target baseline caps every vector loop at SSE2 width and misses the
-//! lane-wise formulations entirely. This crate provides the hot-loop primitives as explicit
-//! `core::arch::x86_64` kernels:
-//!
-//! * **Mask ANDs** ([`Kernels::and_words`], [`Kernels::and2_into`] … [`Kernels::and4_fold`])
-//!   — the QuickScorer engine's snapshot-image folds, 4 × `u64` per AVX2 op.
-//! * **Violated-prefix compares** ([`Kernels::violated_count`],
-//!   [`Kernels::advance_bases`]) — the QuickScorer fence binary search and stride-window
-//!   count, `!(x <= t)` over 2/4 `f64` lanes per op.
-//! * **Node-step selects** ([`Kernels::select_lanes`]) — the compiled walker's branchless
-//!   per-level step across its 16-example interleave group: lane-wise `x <= t` compares
-//!   narrowed to 32-bit masks selecting left/right child indices.
-//!
-//! ## Dispatch
-//!
-//! The CPU is probed **once** per process (`is_x86_feature_detected!` cached in a
-//! [`OnceLock`]): AVX2 when detected, else SSE2 (unconditionally part of the x86_64
-//! baseline), and a pure-safe scalar fallback on every other architecture. Engines call
-//! [`active`] once per batch and thread the returned [`Kernels`] handle through their hot
-//! loops — the per-row path never re-queries. [`force_scalar`] (or the
-//! `SURF_FORCE_SCALAR=1` environment variable, read once at first dispatch) pins dispatch
-//! to the scalar fallback for tests, benches and bit-identity audits.
-//!
-//! ## Bit-identity
-//!
-//! Every kernel is bit-identical to its scalar reference for **all** inputs, including NaN
-//! and ±∞: the comparison predicates are exactly the engines' `x <= t` / `!(x <= t)`
-//! (ordered-quiet / not-less-equal-unordered encodings, so NaN routes right precisely as
-//! the tree walker's `else` branch does), and the integer AND/select lanes carry no
-//! arithmetic that could reassociate. The `engine_parity` suite in `surf-ml` pins
-//! forced-scalar vs. dispatched equality end to end; this crate's own tests pin each
-//! primitive against the scalar reference per ISA.
-//!
-//! ## The unsafe boundary
-//!
-//! This crate is a vetted hole through the workspace's `#![forbid(unsafe_code)]`
-//! (registered in `analyze/unsafe_boundary.toml`, alongside `surf-reactor`). The unsafe
-//! surface is exactly the intrinsic calls: every kernel bounds its own memory accesses by
-//! the slice lengths it receives (fixed-size [`LANES`] arrays where the geometry is
-//! structural), nothing unsafe escapes the API, and a [`Kernels`] handle carrying
-//! [`Isa::Avx2`] can only be constructed after runtime feature detection — so the safe
-//! API cannot be used to execute unsupported instructions. `surf-analyze check` enforces
-//! a `// SAFETY:` argument at every `unsafe` occurrence in this crate.
-
+//! [`detected`] asks the CPU once per process (`is_x86_feature_detected!`, cached in a
+//! [`OnceLock`]) for the widest vector ISA it supports: AVX2 when present, else SSE2 (part
+//! of the x86_64 baseline), and [`Isa::Scalar`] on every other architecture. No inference
+//! or mining code branches on the answer; it is a label, not a dispatch.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Lanes in one interleave group: the fixed geometry of [`Kernels::select_lanes`] and
-/// [`Kernels::advance_bases`]. Matches the compiled engine's 16-example interleave and the
-/// QuickScorer engine's 16-row scan group.
-pub const LANES: usize = 16;
-
-/// Instruction-set architecture a [`Kernels`] handle dispatches to.
+/// The widest vector instruction set the host supports.
 ///
 /// Ordering is capability order: each variant strictly extends the previous one's
 /// instruction set on x86_64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Isa {
-    /// Pure-safe scalar reference path (every architecture; the forced fallback).
+    /// No x86_64 vector extension (every non-x86_64 architecture).
     Scalar,
-    /// 128-bit SSE2 kernels — unconditionally available on x86_64 (baseline ABI).
+    /// 128-bit SSE2, unconditionally available on x86_64 (baseline ABI).
     Sse2,
-    /// 256-bit AVX2 kernels — gated by runtime `is_x86_feature_detected!("avx2")`.
+    /// 256-bit AVX2, reported when `is_x86_feature_detected!("avx2")` holds.
     Avx2,
 }
 
 impl Isa {
-    /// Every ISA this crate knows, in capability order.
-    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Sse2, Isa::Avx2];
-
-    /// Stable lowercase label, used in bench artifacts and metric labels.
+    /// Stable lowercase label, used in bench artifacts.
     pub fn label(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -87,10 +37,7 @@ impl Isa {
     }
 }
 
-/// The best ISA this CPU supports, probed once per process and cached.
-///
-/// Ignores [`force_scalar`] — this is the *hardware* answer; [`active`] applies the
-/// override.
+/// The widest ISA this CPU supports, probed once per process and cached.
 pub fn detected() -> Isa {
     static DETECTED: OnceLock<Isa> = OnceLock::new();
     *DETECTED.get_or_init(probe)
@@ -111,974 +58,9 @@ fn probe() -> Isa {
     Isa::Scalar
 }
 
-/// The force-scalar override flag, initialized once from `SURF_FORCE_SCALAR` (any value
-/// other than empty or `0` forces scalar) and then driven by [`force_scalar`].
-fn force_flag() -> &'static AtomicBool {
-    static FORCE: OnceLock<AtomicBool> = OnceLock::new();
-    FORCE.get_or_init(|| {
-        let forced = std::env::var("SURF_FORCE_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        AtomicBool::new(forced)
-    })
-}
-
-/// Pins (or, with `false`, releases) dispatch to the scalar reference path, process-wide.
-///
-/// For tests, benches and bit-identity audits: flipping this mid-run is safe — engines
-/// read dispatch once per batch, and every ISA is bit-identical anyway, so concurrent
-/// readers only ever observe a different (equally correct) kernel.
-pub fn force_scalar(enabled: bool) {
-    force_flag().store(enabled, Ordering::Relaxed);
-}
-
-/// Whether dispatch is currently pinned to the scalar path (env or [`force_scalar`]).
-pub fn scalar_forced() -> bool {
-    force_flag().load(Ordering::Relaxed)
-}
-
-/// The kernel set to use right now: [`detected`] unless scalar is forced.
-///
-/// One cheap atomic load plus the cached probe — but engines still hoist this out of
-/// their per-row loops and call it once per batch.
-pub fn active() -> Kernels {
-    if scalar_forced() {
-        Kernels { isa: Isa::Scalar }
-    } else {
-        Kernels { isa: detected() }
-    }
-}
-
-/// A validated kernel-set handle: the only way to invoke the SIMD paths.
-///
-/// The `isa` field is private, and the constructors ([`active`], [`Kernels::scalar`],
-/// [`Kernels::with_isa`]) only ever produce ISAs the running CPU supports — that invariant
-/// is what makes the dispatch methods safe to expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Kernels {
-    isa: Isa,
-}
-
-impl Kernels {
-    /// The scalar reference kernels (available everywhere).
-    pub fn scalar() -> Self {
-        Kernels { isa: Isa::Scalar }
-    }
-
-    /// Kernels for a specific ISA, or `None` when this CPU does not support it.
-    ///
-    /// This is the only route to a non-default ISA (the per-ISA parity tests use it);
-    /// the support check is what keeps [`Isa::Avx2`] handles impossible on CPUs without
-    /// AVX2.
-    pub fn with_isa(isa: Isa) -> Option<Self> {
-        if isa <= detected() {
-            Some(Kernels { isa })
-        } else {
-            None
-        }
-    }
-
-    /// The ISA this handle dispatches to.
-    pub fn isa(self) -> Isa {
-        self.isa
-    }
-
-    /// `dst[i] &= src[i]` over the common length.
-    #[inline]
-    pub fn and_words(self, dst: &mut [u64], src: &[u64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        match self.isa {
-            Isa::Scalar => scalar::and_words(dst, src),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Sse2 => unsafe { x86::and_words_sse2(dst, src) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded (see `probe`/`with_isa`);
-            // the kernel bounds every access by the slice lengths itself.
-            Isa::Avx2 => unsafe { x86::and_words_avx2(dst, src) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::and_words(dst, src),
-        }
-    }
-
-    /// `dst[i] = s0[i] & s1[i]` over the common length.
-    #[inline]
-    pub fn and2_into(self, dst: &mut [u64], s0: &[u64], s1: &[u64]) {
-        debug_assert!(dst.len() == s0.len() && dst.len() == s1.len());
-        match self.isa {
-            Isa::Scalar => scalar::and2_into(dst, s0, s1),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Sse2 => unsafe { x86::and2_into_sse2(dst, s0, s1) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Avx2 => unsafe { x86::and2_into_avx2(dst, s0, s1) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::and2_into(dst, s0, s1),
-        }
-    }
-
-    /// `dst[i] = s0[i] & s1[i] & s2[i]` over the common length.
-    #[inline]
-    pub fn and3_into(self, dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64]) {
-        debug_assert!(dst.len() == s0.len() && dst.len() == s1.len() && dst.len() == s2.len());
-        match self.isa {
-            Isa::Scalar => scalar::and3_into(dst, s0, s1, s2),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Sse2 => unsafe { x86::and3_into_sse2(dst, s0, s1, s2) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Avx2 => unsafe { x86::and3_into_avx2(dst, s0, s1, s2) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::and3_into(dst, s0, s1, s2),
-        }
-    }
-
-    /// `dst[i] = s0[i] & s1[i] & s2[i] & s3[i]` over the common length.
-    #[inline]
-    pub fn and4_into(self, dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        debug_assert!(dst.len() == s0.len() && dst.len() == s3.len());
-        match self.isa {
-            Isa::Scalar => scalar::and4_into(dst, s0, s1, s2, s3),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Sse2 => unsafe { x86::and4_into_sse2(dst, s0, s1, s2, s3) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Avx2 => unsafe { x86::and4_into_avx2(dst, s0, s1, s2, s3) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::and4_into(dst, s0, s1, s2, s3),
-        }
-    }
-
-    /// `dst[i] &= s0[i] & s1[i] & s2[i] & s3[i]` over the common length.
-    #[inline]
-    pub fn and4_fold(self, dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        debug_assert!(dst.len() == s0.len() && dst.len() == s3.len());
-        match self.isa {
-            Isa::Scalar => scalar::and4_fold(dst, s0, s1, s2, s3),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Sse2 => unsafe { x86::and4_fold_sse2(dst, s0, s1, s2, s3) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; the kernel bounds every
-            // access by the slice lengths itself.
-            Isa::Avx2 => unsafe { x86::and4_fold_avx2(dst, s0, s1, s2, s3) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::and4_fold(dst, s0, s1, s2, s3),
-        }
-    }
-
-    /// Number of `window` entries `x` violates (`!(x <= t)`): NaN and +∞ violate all,
-    /// -∞ none. With `window` sorted ascending this is the violated-prefix length.
-    #[inline]
-    pub fn violated_count(self, window: &[f64], x: f64) -> usize {
-        match self.isa {
-            Isa::Scalar => scalar::violated_count(window, x),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; the kernel bounds every
-            // access by `window.len()` itself.
-            Isa::Sse2 => unsafe { x86::violated_count_sse2(window, x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; the kernel bounds every
-            // access by `window.len()` itself.
-            Isa::Avx2 => unsafe { x86::violated_count_avx2(window, x) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::violated_count(window, x),
-        }
-    }
-
-    /// One lockstep level of the fence binary search: per lane,
-    /// `bases[k] += u64::from(!(xs[k] <= fences[k])) * half`.
-    ///
-    /// `fences` holds the per-lane *gathered* fence values for this level; lanes the
-    /// caller is not using must simply hold any finite or non-finite value — they are
-    /// never used to index anything by this function.
-    #[inline]
-    pub fn advance_bases(
-        self,
-        xs: &[f64; LANES],
-        fences: &[f64; LANES],
-        half: u64,
-        bases: &mut [u64; LANES],
-    ) {
-        match self.isa {
-            Isa::Scalar => scalar::advance_bases(xs, fences, half, bases),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; all accesses are within
-            // the fixed-size `LANES` arrays.
-            Isa::Sse2 => unsafe { x86::advance_bases_sse2(xs, fences, half, bases) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; all accesses are within the
-            // fixed-size `LANES` arrays.
-            Isa::Avx2 => unsafe { x86::advance_bases_avx2(xs, fences, half, bases) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::advance_bases(xs, fences, half, bases),
-        }
-    }
-
-    /// The compiled walker's branchless node step across one interleave group: per lane,
-    /// `out[k] = if xs[k] <= ts[k] { lo[k] } else { hi[k] }` — NaN takes `hi`, exactly
-    /// the walker's `else` branch.
-    #[inline]
-    pub fn select_lanes(
-        self,
-        xs: &[f64; LANES],
-        ts: &[f64; LANES],
-        lo: &[u32; LANES],
-        hi: &[u32; LANES],
-        out: &mut [u32; LANES],
-    ) {
-        match self.isa {
-            Isa::Scalar => scalar::select_lanes(xs, ts, lo, hi, out),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline ABI; all accesses are within
-            // the fixed-size `LANES` arrays.
-            Isa::Sse2 => unsafe { x86::select_lanes_sse2(xs, ts, lo, hi, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle is only constructible after
-            // `is_x86_feature_detected!("avx2")` succeeded; all accesses are within the
-            // fixed-size `LANES` arrays.
-            Isa::Avx2 => unsafe { x86::select_lanes_avx2(xs, ts, lo, hi, out) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::select_lanes(xs, ts, lo, hi, out),
-        }
-    }
-
-    /// Whether [`Kernels::walk_lanes`] actually vectorizes under this handle. Hardware
-    /// gathers exist only from AVX2 up, so on scalar and SSE2 handles the walk runs the
-    /// identical scalar code — callers that keep a fused scalar loop of their own should
-    /// prefer it there (it avoids this API's defensive index clamps).
-    #[inline]
-    pub fn gathers_vectorized(self) -> bool {
-        matches!(self.isa, Isa::Avx2)
-    }
-
-    /// The compiled walker's full branchless traversal of one interleave group: starting
-    /// from `state` (all lanes on a tree root), takes `depth` node steps — per lane
-    /// `state[k] = if rows[k·width + feature[n]] <= thresholds[n] { lo[n] } else { hi[n] }`
-    /// with `n = state[k]` — leaving each lane on its leaf. NaN row values take `hi`,
-    /// exactly the walker's `else` branch. `rows` is one row-major group of [`LANES`]
-    /// rows of `width` features each.
-    ///
-    /// Node tables are SoA slices indexed by node id. The walk's indices are
-    /// data-dependent, so the kernels defensively clamp every node id to the (shortest)
-    /// node table and every feature id to `width` — identically on every ISA, so even
-    /// out-of-contract tables stay bit-identical across dispatch. Degenerate shapes
-    /// (empty tables, `width == 0`, `rows` shorter than one group) are a no-op.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // mirrors the SoA walk contract; a struct would just rename the fields
-    pub fn walk_lanes(
-        self,
-        thresholds: &[f64],
-        lo: &[u32],
-        hi: &[u32],
-        features: &[u32],
-        rows: &[f64],
-        width: usize,
-        depth: u32,
-        state: &mut [u32; LANES],
-    ) {
-        let n_nodes = thresholds
-            .len()
-            .min(lo.len())
-            .min(hi.len())
-            .min(features.len());
-        if n_nodes == 0 || width == 0 || rows.len() < LANES * width {
-            return;
-        }
-        // Gather offsets are signed 32-bit; oversized tables walk scalar on every ISA.
-        if n_nodes > i32::MAX as usize || LANES.saturating_mul(width) > i32::MAX as usize {
-            return scalar::walk_lanes(thresholds, lo, hi, features, rows, width, depth, state);
-        }
-        match self.isa {
-            Isa::Scalar => {
-                scalar::walk_lanes(thresholds, lo, hi, features, rows, width, depth, state)
-            }
-            // SSE2 has no hardware gathers, so the data-dependent walk stays scalar there.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => {
-                scalar::walk_lanes(thresholds, lo, hi, features, rows, width, depth, state)
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Isa::Avx2` handle exists only after AVX2 detection succeeded;
-            // the shape contract checked above holds, and the kernel clamps every
-            // data-dependent index into the borrowed slices' bounds before gathering.
-            Isa::Avx2 => unsafe {
-                x86::walk_lanes_avx2(thresholds, lo, hi, features, rows, width, depth, state)
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::walk_lanes(thresholds, lo, hi, features, rows, width, depth, state),
-        }
-    }
-}
-
-/// Safe scalar reference implementations — the semantics every SIMD kernel must
-/// reproduce bit for bit, and the forced/portable fallback path.
-mod scalar {
-    use super::LANES;
-
-    pub fn and_words(dst: &mut [u64], src: &[u64]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d &= *s;
-        }
-    }
-
-    pub fn and2_into(dst: &mut [u64], s0: &[u64], s1: &[u64]) {
-        for ((d, a), b) in dst.iter_mut().zip(s0).zip(s1) {
-            *d = *a & *b;
-        }
-    }
-
-    pub fn and3_into(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64]) {
-        for (((d, a), b), c) in dst.iter_mut().zip(s0).zip(s1).zip(s2) {
-            *d = *a & *b & *c;
-        }
-    }
-
-    pub fn and4_into(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        for ((((d, a), b), c), e) in dst.iter_mut().zip(s0).zip(s1).zip(s2).zip(s3) {
-            *d = *a & *b & *c & *e;
-        }
-    }
-
-    pub fn and4_fold(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        for ((((d, a), b), c), e) in dst.iter_mut().zip(s0).zip(s1).zip(s2).zip(s3) {
-            *d &= *a & *b & *c & *e;
-        }
-    }
-
-    // The negated comparison is the point: `!(x <= t)` counts NaN as violated, exactly
-    // as the tree walker routes NaN right.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn violated_count(window: &[f64], x: f64) -> usize {
-        window.iter().map(|&t| usize::from(!(x <= t))).sum()
-    }
-
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn advance_bases(
-        xs: &[f64; LANES],
-        fences: &[f64; LANES],
-        half: u64,
-        bases: &mut [u64; LANES],
-    ) {
-        for k in 0..LANES {
-            bases[k] += u64::from(!(xs[k] <= fences[k])) * half;
-        }
-    }
-
-    pub fn select_lanes(
-        xs: &[f64; LANES],
-        ts: &[f64; LANES],
-        lo: &[u32; LANES],
-        hi: &[u32; LANES],
-        out: &mut [u32; LANES],
-    ) {
-        for k in 0..LANES {
-            out[k] = if xs[k] <= ts[k] { lo[k] } else { hi[k] };
-        }
-    }
-
-    // Callers (the dispatch prologue) guarantee non-empty tables, `width >= 1`, and
-    // `rows.len() >= LANES * width`; the clamps below then keep every data-dependent
-    // access in bounds — and must match the SIMD kernels' clamps bit for bit.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn walk_lanes(
-        thresholds: &[f64],
-        lo: &[u32],
-        hi: &[u32],
-        features: &[u32],
-        rows: &[f64],
-        width: usize,
-        depth: u32,
-        state: &mut [u32; LANES],
-    ) {
-        let max_node = (thresholds
-            .len()
-            .min(lo.len())
-            .min(hi.len())
-            .min(features.len())
-            - 1) as u32;
-        let max_feat = (width - 1) as u32;
-        for _ in 0..depth {
-            for k in 0..LANES {
-                let n = state[k].min(max_node) as usize;
-                let f = features[n].min(max_feat) as usize;
-                let x = rows[k * width + f];
-                state[k] = if !(x <= thresholds[n]) { hi[n] } else { lo[n] };
-            }
-        }
-    }
-}
-
-/// `core::arch::x86_64` kernels. Two tiers: `_sse2` functions use only baseline-ABI
-/// instructions (every x86_64 CPU); `_avx2` functions carry
-/// `#[target_feature(enable = "avx2")]` and must only be reached through a [`Kernels`]
-/// handle constructed after runtime detection.
-///
-/// Memory-safety pattern shared by every kernel here: vector loads/stores are unaligned
-/// (`loadu`/`storeu`, so no alignment precondition), advance in fixed strides bounded by
-/// the minimum slice length computed up front (or by the fixed [`LANES`] array size), and
-/// leave any remainder to scalar code — no access can exceed the borrowed slices.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::LANES;
-    use core::arch::x86_64::*;
-
-    // ----- mask ANDs -----
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Bodies only access `dst[..n]` /
-    // `src[..n]` with n = min(lengths), via unaligned 16-byte ops plus a scalar tail.
-    pub unsafe fn and_words_sse2(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a = _mm_loadu_si128(d.add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s.add(i) as *const __m128i);
-            _mm_storeu_si128(d.add(i) as *mut __m128i, _mm_and_si128(a, b));
-            i += 2;
-        }
-        while i < n {
-            dst[i] &= src[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Bodies only
-    // access the first min(lengths) words via unaligned 32-byte ops plus a scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_words_avx2(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(d.add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, _mm256_and_si256(a, b));
-            i += 4;
-        }
-        while i < n {
-            dst[i] &= src[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Accesses are bounded by
-    // n = min(all lengths); unaligned ops plus scalar tail.
-    pub unsafe fn and2_into_sse2(dst: &mut [u64], s0: &[u64], s1: &[u64]) {
-        let n = dst.len().min(s0.len()).min(s1.len());
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a = _mm_loadu_si128(s0.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s1.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_and_si128(a, b));
-            i += 2;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Accesses are
-    // bounded by n = min(all lengths); unaligned ops plus scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and2_into_avx2(dst: &mut [u64], s0: &[u64], s1: &[u64]) {
-        let n = dst.len().min(s0.len()).min(s1.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(s0.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s1.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_and_si256(a, b),
-            );
-            i += 4;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Accesses are bounded by
-    // n = min(all lengths); unaligned ops plus scalar tail.
-    pub unsafe fn and3_into_sse2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64]) {
-        let n = dst.len().min(s0.len()).min(s1.len()).min(s2.len());
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a = _mm_loadu_si128(s0.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s1.as_ptr().add(i) as *const __m128i);
-            let c = _mm_loadu_si128(s2.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(
-                dst.as_mut_ptr().add(i) as *mut __m128i,
-                _mm_and_si128(_mm_and_si128(a, b), c),
-            );
-            i += 2;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i] & s2[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Accesses are
-    // bounded by n = min(all lengths); unaligned ops plus scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and3_into_avx2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64]) {
-        let n = dst.len().min(s0.len()).min(s1.len()).min(s2.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(s0.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s1.as_ptr().add(i) as *const __m256i);
-            let c = _mm256_loadu_si256(s2.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_and_si256(_mm256_and_si256(a, b), c),
-            );
-            i += 4;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i] & s2[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Accesses are bounded by
-    // n = min(all lengths); unaligned ops plus scalar tail.
-    pub unsafe fn and4_into_sse2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        let n = dst
-            .len()
-            .min(s0.len())
-            .min(s1.len())
-            .min(s2.len())
-            .min(s3.len());
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a = _mm_loadu_si128(s0.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s1.as_ptr().add(i) as *const __m128i);
-            let c = _mm_loadu_si128(s2.as_ptr().add(i) as *const __m128i);
-            let e = _mm_loadu_si128(s3.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(
-                dst.as_mut_ptr().add(i) as *mut __m128i,
-                _mm_and_si128(_mm_and_si128(a, b), _mm_and_si128(c, e)),
-            );
-            i += 2;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i] & s2[i] & s3[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Accesses are
-    // bounded by n = min(all lengths); unaligned ops plus scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and4_into_avx2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        let n = dst
-            .len()
-            .min(s0.len())
-            .min(s1.len())
-            .min(s2.len())
-            .min(s3.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(s0.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s1.as_ptr().add(i) as *const __m256i);
-            let c = _mm256_loadu_si256(s2.as_ptr().add(i) as *const __m256i);
-            let e = _mm256_loadu_si256(s3.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_and_si256(_mm256_and_si256(a, b), _mm256_and_si256(c, e)),
-            );
-            i += 4;
-        }
-        while i < n {
-            dst[i] = s0[i] & s1[i] & s2[i] & s3[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Accesses are bounded by
-    // n = min(all lengths); unaligned ops plus scalar tail.
-    pub unsafe fn and4_fold_sse2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        let n = dst
-            .len()
-            .min(s0.len())
-            .min(s1.len())
-            .min(s2.len())
-            .min(s3.len());
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a = _mm_loadu_si128(s0.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s1.as_ptr().add(i) as *const __m128i);
-            let c = _mm_loadu_si128(s2.as_ptr().add(i) as *const __m128i);
-            let e = _mm_loadu_si128(s3.as_ptr().add(i) as *const __m128i);
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(
-                dst.as_mut_ptr().add(i) as *mut __m128i,
-                _mm_and_si128(d, _mm_and_si128(_mm_and_si128(a, b), _mm_and_si128(c, e))),
-            );
-            i += 2;
-        }
-        while i < n {
-            dst[i] &= s0[i] & s1[i] & s2[i] & s3[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Accesses are
-    // bounded by n = min(all lengths); unaligned ops plus scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and4_fold_avx2(dst: &mut [u64], s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
-        let n = dst
-            .len()
-            .min(s0.len())
-            .min(s1.len())
-            .min(s2.len())
-            .min(s3.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_si256(s0.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(s1.as_ptr().add(i) as *const __m256i);
-            let c = _mm256_loadu_si256(s2.as_ptr().add(i) as *const __m256i);
-            let e = _mm256_loadu_si256(s3.as_ptr().add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_and_si256(
-                    d,
-                    _mm256_and_si256(_mm256_and_si256(a, b), _mm256_and_si256(c, e)),
-                ),
-            );
-            i += 4;
-        }
-        while i < n {
-            dst[i] &= s0[i] & s1[i] & s2[i] & s3[i];
-            i += 1;
-        }
-    }
-
-    // ----- violated-prefix compares -----
-
-    // `CMPNLEPD` (not-less-equal, unordered on NaN) is exactly `!(x <= t)`: NaN and +∞
-    // count as violated, -∞ never does — bit-identical to the scalar predicate.
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. Accesses are bounded by
-    // `window.len()`; unaligned loads plus scalar tail.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub unsafe fn violated_count_sse2(window: &[f64], x: f64) -> usize {
-        let bx = _mm_set1_pd(x);
-        let mut bits = 0u32;
-        let mut i = 0usize;
-        while i + 2 <= window.len() {
-            let t = _mm_loadu_pd(window.as_ptr().add(i));
-            bits += (_mm_movemask_pd(_mm_cmpnle_pd(bx, t)) as u32).count_ones();
-            i += 2;
-        }
-        let mut count = bits as usize;
-        while i < window.len() {
-            count += usize::from(!(x <= window[i]));
-            i += 1;
-        }
-        count
-    }
-
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[target_feature(enable = "avx2")]
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). Accesses are
-    // bounded by `window.len()`; unaligned loads plus scalar tail.
-    pub unsafe fn violated_count_avx2(window: &[f64], x: f64) -> usize {
-        let bx = _mm256_set1_pd(x);
-        let mut bits = 0u32;
-        let mut i = 0usize;
-        while i + 4 <= window.len() {
-            let t = _mm256_loadu_pd(window.as_ptr().add(i));
-            let m = _mm256_cmp_pd::<_CMP_NLE_UQ>(bx, t);
-            bits += (_mm256_movemask_pd(m) as u32).count_ones();
-            i += 4;
-        }
-        let mut count = bits as usize;
-        while i < window.len() {
-            count += usize::from(!(x <= window[i]));
-            i += 1;
-        }
-        count
-    }
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. All accesses are within the
-    // fixed-size `LANES` arrays (stride 2 over 16 lanes).
-    pub unsafe fn advance_bases_sse2(
-        xs: &[f64; LANES],
-        fences: &[f64; LANES],
-        half: u64,
-        bases: &mut [u64; LANES],
-    ) {
-        let step = _mm_set1_epi64x(half as i64);
-        let mut k = 0usize;
-        while k < LANES {
-            let x = _mm_loadu_pd(xs.as_ptr().add(k));
-            let t = _mm_loadu_pd(fences.as_ptr().add(k));
-            let m = _mm_castpd_si128(_mm_cmpnle_pd(x, t));
-            let b = _mm_loadu_si128(bases.as_ptr().add(k) as *const __m128i);
-            _mm_storeu_si128(
-                bases.as_mut_ptr().add(k) as *mut __m128i,
-                _mm_add_epi64(b, _mm_and_si128(m, step)),
-            );
-            k += 2;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). All accesses are
-    // within the fixed-size `LANES` arrays (stride 4 over 16 lanes).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn advance_bases_avx2(
-        xs: &[f64; LANES],
-        fences: &[f64; LANES],
-        half: u64,
-        bases: &mut [u64; LANES],
-    ) {
-        let step = _mm256_set1_epi64x(half as i64);
-        let mut k = 0usize;
-        while k < LANES {
-            let x = _mm256_loadu_pd(xs.as_ptr().add(k));
-            let t = _mm256_loadu_pd(fences.as_ptr().add(k));
-            let m = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_NLE_UQ>(x, t));
-            let b = _mm256_loadu_si256(bases.as_ptr().add(k) as *const __m256i);
-            _mm256_storeu_si256(
-                bases.as_mut_ptr().add(k) as *mut __m256i,
-                _mm256_add_epi64(b, _mm256_and_si256(m, step)),
-            );
-            k += 4;
-        }
-    }
-
-    // ----- node-step selects -----
-
-    // `CMPLEPD` / `_CMP_LE_OQ` (ordered on NaN) is exactly `x <= t`: NaN compares false
-    // and takes the `hi` (right-child) lane, as the walker's `else` branch does. The
-    // 64-bit compare masks are all-ones or all-zeros, so their low 32 bits equal the
-    // whole mask — the shuffles below narrow them to one 32-bit mask per child index.
-
-    // SAFETY (to call): SSE2 is baseline on x86_64. All accesses are within the
-    // fixed-size `LANES` arrays (stride 4 over 16 lanes).
-    pub unsafe fn select_lanes_sse2(
-        xs: &[f64; LANES],
-        ts: &[f64; LANES],
-        lo: &[u32; LANES],
-        hi: &[u32; LANES],
-        out: &mut [u32; LANES],
-    ) {
-        let mut k = 0usize;
-        while k < LANES {
-            let m0 = _mm_cmple_pd(
-                _mm_loadu_pd(xs.as_ptr().add(k)),
-                _mm_loadu_pd(ts.as_ptr().add(k)),
-            );
-            let m1 = _mm_cmple_pd(
-                _mm_loadu_pd(xs.as_ptr().add(k + 2)),
-                _mm_loadu_pd(ts.as_ptr().add(k + 2)),
-            );
-            // [m0.lane0, m0.lane1, m1.lane0, m1.lane1] as 32-bit masks (0x88 picks the
-            // low f32 of each 64-bit mask from both sources).
-            let mask = _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-                _mm_castpd_ps(m0),
-                _mm_castpd_ps(m1),
-            ));
-            let lo4 = _mm_loadu_si128(lo.as_ptr().add(k) as *const __m128i);
-            let hi4 = _mm_loadu_si128(hi.as_ptr().add(k) as *const __m128i);
-            let sel = _mm_or_si128(_mm_and_si128(mask, lo4), _mm_andnot_si128(mask, hi4));
-            _mm_storeu_si128(out.as_mut_ptr().add(k) as *mut __m128i, sel);
-            k += 4;
-        }
-    }
-
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). All accesses are
-    // within the fixed-size `LANES` arrays (stride 8 over 16 lanes).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn select_lanes_avx2(
-        xs: &[f64; LANES],
-        ts: &[f64; LANES],
-        lo: &[u32; LANES],
-        hi: &[u32; LANES],
-        out: &mut [u32; LANES],
-    ) {
-        // Picks the low 32 bits of every 64-bit compare mask into lanes 0..4 (and,
-        // redundantly, 4..8 — the blend below keeps one half from each source).
-        let idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-        let mut k = 0usize;
-        while k < LANES {
-            let m0 = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(
-                _mm256_loadu_pd(xs.as_ptr().add(k)),
-                _mm256_loadu_pd(ts.as_ptr().add(k)),
-            ));
-            let m1 = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(
-                _mm256_loadu_pd(xs.as_ptr().add(k + 4)),
-                _mm256_loadu_pd(ts.as_ptr().add(k + 4)),
-            ));
-            let c0 = _mm256_permutevar8x32_epi32(m0, idx);
-            let c1 = _mm256_permutevar8x32_epi32(m1, idx);
-            let mask = _mm256_blend_epi32::<0b1111_0000>(c0, c1);
-            let lo8 = _mm256_loadu_si256(lo.as_ptr().add(k) as *const __m256i);
-            let hi8 = _mm256_loadu_si256(hi.as_ptr().add(k) as *const __m256i);
-            let sel = _mm256_blendv_epi8(hi8, lo8, mask);
-            _mm256_storeu_si256(out.as_mut_ptr().add(k) as *mut __m256i, sel);
-            k += 8;
-        }
-    }
-
-    // ----- whole-group tree walks -----
-
-    // One branchless node step for eight lanes: clamp the node ids, hardware-gather the
-    // node fields and the row values, compare, and blend the child ids. Kept as its own
-    // `target_feature` function so `walk_lanes_avx2` can inline it (feature-to-feature
-    // calls inline; only the boundary from non-feature code cannot).
-    //
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller). `max_node` must
-    // be below every node slice's length and `base + max_feat` below `rows`' length for
-    // every lane, so the clamped gathers cannot exceed the slices the pointers borrow.
-    unsafe fn walk_step_avx2(
-        st: __m256i,
-        base: __m256i,
-        max_node: __m256i,
-        max_feat: __m256i,
-        narrow: __m256i,
-        thresholds: *const f64,
-        lo: *const i32,
-        hi: *const i32,
-        features: *const i32,
-        rows: *const f64,
-    ) -> __m256i {
-        let n = _mm256_min_epu32(st, max_node);
-        let f = _mm256_min_epu32(_mm256_i32gather_epi32::<4>(features, n), max_feat);
-        let idx = _mm256_add_epi32(base, f);
-        let t0 = _mm256_i32gather_pd::<8>(thresholds, _mm256_castsi256_si128(n));
-        let t1 = _mm256_i32gather_pd::<8>(thresholds, _mm256_extracti128_si256::<1>(n));
-        let x0 = _mm256_i32gather_pd::<8>(rows, _mm256_castsi256_si128(idx));
-        let x1 = _mm256_i32gather_pd::<8>(rows, _mm256_extracti128_si256::<1>(idx));
-        // `x <= t` ordered on NaN: a NaN row value compares false and the blend takes
-        // `hi`, exactly the walker's `else` branch.
-        let m0 = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(x0, t0));
-        let m1 = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(x1, t1));
-        let mask = _mm256_blend_epi32::<0b1111_0000>(
-            _mm256_permutevar8x32_epi32(m0, narrow),
-            _mm256_permutevar8x32_epi32(m1, narrow),
-        );
-        let lov = _mm256_i32gather_epi32::<4>(lo, n);
-        let hiv = _mm256_i32gather_epi32::<4>(hi, n);
-        _mm256_blendv_epi8(hiv, lov, mask)
-    }
-
-    // Shape contract (established by the dispatch prologue): at least one node in every
-    // table, `width >= 1`, `rows.len() >= LANES * width`, and both the node count and
-    // `LANES * width` at most `i32::MAX` (gather offsets are signed 32-bit).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    // SAFETY (to call): requires AVX2 (runtime-detected by the caller) plus the shape
-    // contract above; data-dependent node and feature ids are clamped into those bounds
-    // before every gather, so no access can exceed the borrowed slices.
-    pub unsafe fn walk_lanes_avx2(
-        thresholds: &[f64],
-        lo: &[u32],
-        hi: &[u32],
-        features: &[u32],
-        rows: &[f64],
-        width: usize,
-        depth: u32,
-        state: &mut [u32; LANES],
-    ) {
-        let n_nodes = thresholds
-            .len()
-            .min(lo.len())
-            .min(hi.len())
-            .min(features.len());
-        let max_node = _mm256_set1_epi32((n_nodes - 1) as i32);
-        let max_feat = _mm256_set1_epi32((width - 1) as i32);
-        let narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-        // Per-lane row-start offsets; `15 * width + (width - 1) < LANES * width` fits i32
-        // by the shape contract.
-        let w = width as i32;
-        let base0 = _mm256_setr_epi32(0, w, 2 * w, 3 * w, 4 * w, 5 * w, 6 * w, 7 * w);
-        let base1 = _mm256_setr_epi32(8 * w, 9 * w, 10 * w, 11 * w, 12 * w, 13 * w, 14 * w, 15 * w);
-        let tp = thresholds.as_ptr();
-        let lp = lo.as_ptr() as *const i32;
-        let hp = hi.as_ptr() as *const i32;
-        let fp = features.as_ptr() as *const i32;
-        let rp = rows.as_ptr();
-        let mut st0 = _mm256_loadu_si256(state.as_ptr() as *const __m256i);
-        let mut st1 = _mm256_loadu_si256(state.as_ptr().add(8) as *const __m256i);
-        for _ in 0..depth {
-            st0 = walk_step_avx2(st0, base0, max_node, max_feat, narrow, tp, lp, hp, fp, rp);
-            st1 = walk_step_avx2(st1, base1, max_node, max_feat, narrow, tp, lp, hp, fp, rp);
-        }
-        _mm256_storeu_si256(state.as_mut_ptr() as *mut __m256i, st0);
-        _mm256_storeu_si256(state.as_mut_ptr().add(8) as *mut __m256i, st1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Every ISA the running CPU supports (always at least Scalar; on x86_64 at least
-    /// Scalar + Sse2). The per-ISA tests compare each against the scalar reference.
-    fn available() -> Vec<Kernels> {
-        Isa::ALL
-            .iter()
-            .filter_map(|&i| Kernels::with_isa(i))
-            .collect()
-    }
-
-    /// Finite values mixed with every non-finite special and signed zeros.
-    fn values(n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE,
-        ];
-        (0..n)
-            .map(|i| {
-                if i % 5 == 3 {
-                    specials[i % specials.len()]
-                } else {
-                    rng.random_range(-100.0..100.0)
-                }
-            })
-            .collect()
-    }
-
-    fn words(n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.random::<u64>()).collect()
-    }
 
     #[test]
     fn detection_is_sane() {
@@ -1088,26 +70,7 @@ mod tests {
         } else {
             assert_eq!(isa, Isa::Scalar);
         }
-        assert!(Kernels::with_isa(isa).is_some());
-        assert_eq!(Kernels::scalar().isa(), Isa::Scalar);
-    }
-
-    #[test]
-    fn unsupported_isa_is_unconstructible() {
-        for &isa in &Isa::ALL {
-            if isa > detected() {
-                assert!(Kernels::with_isa(isa).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn force_scalar_pins_active_dispatch() {
-        force_scalar(true);
-        assert_eq!(active().isa(), Isa::Scalar);
-        assert!(scalar_forced());
-        force_scalar(false);
-        assert_eq!(active().isa(), detected());
+        assert_eq!(detected(), isa, "the probe is cached");
     }
 
     #[test]
@@ -1115,263 +78,5 @@ mod tests {
         assert_eq!(Isa::Scalar.label(), "scalar");
         assert_eq!(Isa::Sse2.label(), "sse2");
         assert_eq!(Isa::Avx2.label(), "avx2");
-    }
-
-    #[test]
-    fn and_kernels_match_scalar_for_every_isa_and_length() {
-        for k in available() {
-            // Odd lengths exercise every tail; 0 and 1 the degenerate loops.
-            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 200, 203] {
-                let s0 = words(n, 1 + n as u64);
-                let s1 = words(n, 2 + n as u64);
-                let s2 = words(n, 3 + n as u64);
-                let s3 = words(n, 4 + n as u64);
-                let init = words(n, 5 + n as u64);
-
-                let mut expect = init.clone();
-                for i in 0..n {
-                    expect[i] &= s0[i];
-                }
-                let mut got = init.clone();
-                k.and_words(&mut got, &s0);
-                assert_eq!(got, expect, "and_words {:?} n={n}", k.isa());
-
-                let mut expect = vec![0u64; n];
-                for i in 0..n {
-                    expect[i] = s0[i] & s1[i];
-                }
-                let mut got = init.clone();
-                k.and2_into(&mut got, &s0, &s1);
-                assert_eq!(got, expect, "and2_into {:?} n={n}", k.isa());
-
-                for i in 0..n {
-                    expect[i] = s0[i] & s1[i] & s2[i];
-                }
-                let mut got = init.clone();
-                k.and3_into(&mut got, &s0, &s1, &s2);
-                assert_eq!(got, expect, "and3_into {:?} n={n}", k.isa());
-
-                for i in 0..n {
-                    expect[i] = s0[i] & s1[i] & s2[i] & s3[i];
-                }
-                let mut got = init.clone();
-                k.and4_into(&mut got, &s0, &s1, &s2, &s3);
-                assert_eq!(got, expect, "and4_into {:?} n={n}", k.isa());
-
-                let mut expect = init.clone();
-                for i in 0..n {
-                    expect[i] &= s0[i] & s1[i] & s2[i] & s3[i];
-                }
-                let mut got = init.clone();
-                k.and4_fold(&mut got, &s0, &s1, &s2, &s3);
-                assert_eq!(got, expect, "and4_fold {:?} n={n}", k.isa());
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn violated_count_matches_scalar_for_every_isa() {
-        for k in available() {
-            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17] {
-                for (i, &x) in values(40, 77).iter().enumerate() {
-                    let window = values(n, 100 + i as u64);
-                    let expect: usize = window.iter().map(|&t| usize::from(!(x <= t))).sum();
-                    assert_eq!(
-                        k.violated_count(&window, x),
-                        expect,
-                        "violated_count {:?} n={n} x={x}",
-                        k.isa()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn advance_bases_matches_scalar_for_every_isa() {
-        for k in available() {
-            for case in 0..20u64 {
-                let xs_v = values(LANES, 7 + case);
-                let fences_v = values(LANES, 31 + case);
-                let mut xs = [0.0f64; LANES];
-                let mut fences = [0.0f64; LANES];
-                xs.copy_from_slice(&xs_v);
-                fences.copy_from_slice(&fences_v);
-                for half in [1u64, 2, 3, 8, 1 << 20] {
-                    let mut expect = [0u64; LANES];
-                    for (i, e) in expect.iter_mut().enumerate() {
-                        *e = 1000 + i as u64 + u64::from(!(xs[i] <= fences[i])) * half;
-                    }
-                    let mut got = [0u64; LANES];
-                    for (i, g) in got.iter_mut().enumerate() {
-                        *g = 1000 + i as u64;
-                    }
-                    k.advance_bases(&xs, &fences, half, &mut got);
-                    assert_eq!(got, expect, "advance_bases {:?} half={half}", k.isa());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn select_lanes_matches_scalar_for_every_isa() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for k in available() {
-            for case in 0..40u64 {
-                let xs_v = values(LANES, 11 + case);
-                let ts_v = values(LANES, 53 + case);
-                let mut xs = [0.0f64; LANES];
-                let mut ts = [0.0f64; LANES];
-                xs.copy_from_slice(&xs_v);
-                ts.copy_from_slice(&ts_v);
-                let mut lo = [0u32; LANES];
-                let mut hi = [0u32; LANES];
-                for i in 0..LANES {
-                    lo[i] = rng.random::<u32>();
-                    hi[i] = rng.random::<u32>();
-                }
-                let mut expect = [0u32; LANES];
-                for i in 0..LANES {
-                    expect[i] = if xs[i] <= ts[i] { lo[i] } else { hi[i] };
-                }
-                let mut got = [0u32; LANES];
-                k.select_lanes(&xs, &ts, &lo, &hi, &mut got);
-                assert_eq!(got, expect, "select_lanes {:?} case={case}", k.isa());
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn walk_lanes_matches_scalar_for_every_isa() {
-        let mut rng = StdRng::seed_from_u64(4242);
-        for k in available() {
-            for case in 0..30u64 {
-                // A random self-contained node table: ids always in bounds, thresholds
-                // mixing finite values with every special, features within width.
-                let n_nodes = 1 + (case as usize % 37);
-                let width = 1 + (case as usize % 9);
-                let thresholds = values(n_nodes, 300 + case);
-                let lo: Vec<u32> = (0..n_nodes)
-                    .map(|_| rng.random_range(0..n_nodes as u32))
-                    .collect();
-                let hi: Vec<u32> = (0..n_nodes)
-                    .map(|_| rng.random_range(0..n_nodes as u32))
-                    .collect();
-                let features: Vec<u32> = (0..n_nodes)
-                    .map(|_| rng.random_range(0..width as u32))
-                    .collect();
-                let rows = values(LANES * width, 800 + case);
-                let mut start = [0u32; LANES];
-                for s in &mut start {
-                    *s = rng.random_range(0..n_nodes as u32);
-                }
-                for depth in [0u32, 1, 2, 5, 9] {
-                    let mut expect = start;
-                    for _ in 0..depth {
-                        for (j, st) in expect.iter_mut().enumerate() {
-                            let n = *st as usize;
-                            let x = rows[j * width + features[n] as usize];
-                            *st = if !(x <= thresholds[n]) { hi[n] } else { lo[n] };
-                        }
-                    }
-                    let mut got = start;
-                    k.walk_lanes(
-                        &thresholds,
-                        &lo,
-                        &hi,
-                        &features,
-                        &rows,
-                        width,
-                        depth,
-                        &mut got,
-                    );
-                    assert_eq!(
-                        got,
-                        expect,
-                        "walk_lanes {:?} case={case} depth={depth}",
-                        k.isa()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn walk_lanes_clamps_out_of_contract_ids_identically() {
-        // Node and feature ids beyond their tables must clamp — not fault — and must do
-        // so identically on every ISA (compared against the scalar dispatch).
-        let thresholds = [0.5f64, f64::NAN];
-        let lo = [0u32, 7]; // 7 is out of bounds -> clamps to node 1 on the next step
-        let hi = [1u32, 9];
-        let features = [0u32, 200]; // 200 clamps to the last feature
-        let width = 3usize;
-        let rows: Vec<f64> = (0..LANES * width).map(|i| i as f64 * 0.1).collect();
-        let mut start = [0u32; LANES];
-        start[0] = 55; // out-of-bounds start clamps to the last node
-        let scalar = Kernels::scalar();
-        for k in available() {
-            for depth in [1u32, 2, 4] {
-                let mut expect = start;
-                scalar.walk_lanes(
-                    &thresholds,
-                    &lo,
-                    &hi,
-                    &features,
-                    &rows,
-                    width,
-                    depth,
-                    &mut expect,
-                );
-                let mut got = start;
-                k.walk_lanes(
-                    &thresholds,
-                    &lo,
-                    &hi,
-                    &features,
-                    &rows,
-                    width,
-                    depth,
-                    &mut got,
-                );
-                assert_eq!(got, expect, "clamped walk {:?} depth={depth}", k.isa());
-            }
-        }
-        // Degenerate shapes are a uniform no-op.
-        for k in available() {
-            let mut st = start;
-            k.walk_lanes(&[], &[], &[], &[], &rows, width, 3, &mut st);
-            assert_eq!(st, start, "empty tables must not walk on {:?}", k.isa());
-            let mut st = start;
-            k.walk_lanes(
-                &thresholds,
-                &lo,
-                &hi,
-                &features,
-                &rows[..5],
-                width,
-                3,
-                &mut st,
-            );
-            assert_eq!(st, start, "short rows must not walk on {:?}", k.isa());
-        }
-    }
-
-    #[test]
-    fn nan_routes_to_hi_on_every_isa() {
-        for k in available() {
-            let xs = [f64::NAN; LANES];
-            let ts = [0.0f64; LANES];
-            let lo = [1u32; LANES];
-            let hi = [2u32; LANES];
-            let mut out = [0u32; LANES];
-            k.select_lanes(&xs, &ts, &lo, &hi, &mut out);
-            assert_eq!(out, [2u32; LANES], "NaN must take hi on {:?}", k.isa());
-            assert_eq!(k.violated_count(&ts, f64::NAN), LANES);
-            assert_eq!(k.violated_count(&ts, f64::NEG_INFINITY), 0);
-            assert_eq!(k.violated_count(&ts, f64::INFINITY), LANES);
-        }
     }
 }
