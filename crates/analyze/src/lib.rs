@@ -285,7 +285,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            owning_crate("crates/serve/src/cache.rs", &crates),
+            owning_crate("crates/serve/src/routes.rs", &crates),
             Some("crates/serve")
         );
         assert_eq!(owning_crate("src/lib.rs", &crates), Some(""));

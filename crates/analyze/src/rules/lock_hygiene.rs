@@ -1,9 +1,9 @@
 //! **lock-hygiene** — guard-lifetime tracking and a global lock-acquisition-order graph.
 //!
 //! The serving subsystem's concurrency story is "short, non-nested critical sections":
-//! request handlers take one registry read lock or one cache-shard mutex at a time, never
-//! block on I/O while holding one, and never create an acquisition-order cycle between two
-//! locks. This rule enforces those three properties from source:
+//! request handlers take one lock at a time (the registry's read lock, the job queue's
+//! mutex), never block on I/O while holding one, and never create an acquisition-order
+//! cycle between two locks. This rule enforces those three properties from source:
 //!
 //! 1. **No nested acquisition.** Within a function, acquiring a second lock
 //!    (`.lock()`, `.read()`, `.write()` — zero-argument calls only, which distinguishes
@@ -437,7 +437,7 @@ fn matching_open(code: &str, close: usize) -> usize {
     0
 }
 
-/// Crate namespace of a workspace-relative path: `crates/serve/src/cache.rs` → `serve`,
+/// Crate namespace of a workspace-relative path: `crates/serve/src/registry.rs` → `serve`,
 /// `src/lib.rs` → `surf`.
 fn crate_namespace(rel: &str) -> String {
     let mut parts = rel.split('/');

@@ -56,7 +56,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: panic_path::NAME,
         summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in serve \
-                  request-handling modules (server, registry, cache, routes, http)",
+                  request-handling modules (server, registry, routes, http, conn, event loop, \
+                  queue, obs) and the obs crate",
         escape: "// lint: allow(panic-path) — <reason>",
     },
     RuleInfo {

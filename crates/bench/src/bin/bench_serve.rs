@@ -1,5 +1,5 @@
 //! Serving performance trajectory: open-loop load generation against the `surf-serve`
-//! event loop answering `POST /predict` with the prediction cache off.
+//! event loop answering `POST /predict`.
 //!
 //! For each connection count ∈ {1, 16, 64, 256} a ladder of target arrival rates is
 //! offered; every request's latency is measured from its *scheduled* arrival time (open
@@ -35,7 +35,6 @@ use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_obs::expo;
-use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
 use surf_serve::routes::{PredictRequest, RegionSpec};
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
@@ -118,11 +117,6 @@ fn start_server(engine: &Surf) -> ServerHandle {
         // Pinned (not auto-resolved) so runs on different hosts use the identical pool;
         // handler workers mostly park, so this oversubscribes fine.
         workers: 8,
-        // Cache off: every request exercises the surrogate path under comparison.
-        cache: CacheConfig {
-            capacity: 0,
-            ..CacheConfig::default()
-        },
         max_connections: 4_096,
         max_pending_requests: 8_192, // admission off: rungs saturate, not 503
         ..ServerConfig::default()

@@ -219,7 +219,11 @@ pub fn mine_regions(
         min_length_fraction,
         max_length_fraction,
     );
-    let result = GlowwormSwarm::new(gso.clone()).run(&fitness);
+    // Without a KDE every density weight is 1, the value GSO assumes for a weight it never
+    // computes, so turning the guide off saves the work without changing the trajectory.
+    let mut params = gso.clone();
+    params.use_density_guide &= kde.is_some();
+    let result = GlowwormSwarm::new(params).run(&fitness);
     let radius = cluster_radius_fraction * fitness.bounds().diagonal();
     let representatives = result.cluster_representatives(radius);
 

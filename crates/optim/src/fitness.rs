@@ -102,11 +102,11 @@ pub trait FitnessFunction: Sync {
 }
 
 /// Evaluates every position through [`FitnessFunction::fitness_batch`], fanning contiguous
-/// candidate blocks out over up to `threads` OS threads. This is the per-iteration swarm
-/// evaluation primitive shared by GSO and PSO: positions are flattened once into a row-major
-/// buffer, so a batch-capable fitness sees the whole swarm (or a thread's share of it) in a
-/// single call. Candidates are independent, so the result is identical for every thread
-/// count and identical to calling [`FitnessFunction::fitness`] per candidate.
+/// candidate blocks out over up to `threads` OS threads. This is GSO's per-iteration swarm
+/// evaluation primitive: positions are flattened once into a row-major buffer, so a
+/// batch-capable fitness sees the whole swarm (or a thread's share of it) in a single call.
+/// Candidates are independent, so the result is identical for every thread count and
+/// identical to calling [`FitnessFunction::fitness`] per candidate.
 pub fn evaluate_swarm<F: FitnessFunction + ?Sized>(
     fitness: &F,
     positions: &[Vec<f64>],

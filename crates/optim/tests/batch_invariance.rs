@@ -1,15 +1,13 @@
-//! Batch- and thread-invariance of the swarm optimizers.
+//! Batch- and thread-invariance of the glowworm swarm.
 //!
-//! GSO and PSO evaluate a whole iteration's candidates through
-//! `FitnessFunction::fitness_batch`. These tests pin down the contract that makes that a
-//! pure optimization: a landscape that overrides `fitness_batch` (as SuRF's compiled
-//! surrogate fitness does) must produce **identical** `GsoResult` / `PsoResult` to the same
-//! landscape going through the default per-candidate path, and both must be identical for
-//! every thread count.
+//! GSO evaluates a whole iteration's candidates through `FitnessFunction::fitness_batch`.
+//! These tests pin down the contract that makes that a pure optimization: a landscape that
+//! overrides `fitness_batch` (as SuRF's compiled surrogate fitness does) must produce an
+//! **identical** `GsoResult` to the same landscape going through the default per-candidate
+//! path, and both must be identical for every thread count.
 
 use surf_optim::fitness::{FitnessFunction, MultiPeak, SolutionBounds};
 use surf_optim::gso::{GlowwormSwarm, GsoParams};
-use surf_optim::pso::{ParticleSwarm, PsoParams};
 
 /// A landscape with a hand-written batched evaluation path (the "batching on" side).
 struct BatchedPeaks(MultiPeak);
@@ -73,29 +71,6 @@ fn gso_result_is_identical_for_every_thread_count_with_batched_fitness() {
     for run in &runs[1..] {
         assert_eq!(runs[0].glowworms, run.glowworms);
         assert_eq!(runs[0].mean_fitness_history, run.mean_fitness_history);
-    }
-}
-
-#[test]
-fn pso_result_is_identical_with_batching_on_and_off() {
-    let params = PsoParams::quick().with_seed(23).with_threads(1);
-    let batched = ParticleSwarm::new(params.clone()).run(&BatchedPeaks(MultiPeak::two_peaks()));
-    let scalar = ParticleSwarm::new(params).run(&ScalarPeaks(MultiPeak::two_peaks()));
-    assert_eq!(batched, scalar);
-}
-
-#[test]
-fn pso_result_is_identical_for_every_thread_count() {
-    let landscape = BatchedPeaks(MultiPeak::two_peaks());
-    let runs: Vec<_> = [1usize, 3, 8, 0]
-        .into_iter()
-        .map(|threads| {
-            ParticleSwarm::new(PsoParams::quick().with_seed(2).with_threads(threads))
-                .run(&landscape)
-        })
-        .collect();
-    for run in &runs[1..] {
-        assert_eq!(&runs[0], run);
     }
 }
 

@@ -11,18 +11,16 @@
 //!   complete fitted engine state, with `save_json` / `load_json` that reject incompatible
 //!   schema versions. A loaded surrogate produces **bit-identical** predictions to the one
 //!   that was saved.
-//! * [`registry`] + [`cache`] — a thread-safe, hot-swappable name → model registry
-//!   ([`registry::ModelRegistry`]) and a sharded LRU prediction cache
-//!   ([`cache::PredictionCache`]) keyed on quantized region bounds, with hit/miss/eviction
-//!   counters.
+//! * [`registry`] — a thread-safe, hot-swappable name → model registry
+//!   ([`registry::ModelRegistry`]).
 //! * [`server`] + [`routes`] — a dependency-free HTTP/1.1 JSON API over `std::net`: `POST
 //!   /predict` (single + batched region queries), `POST /mine` (GSO mining), `GET /models`,
 //!   `GET /healthz` and `GET /stats`. One transport serves them: a readiness-based epoll
 //!   event loop (built on the in-tree `surf-reactor` crate) with keep-alive, pipelining,
-//!   idle timeouts and bounded-queue admission control. A `/predict` handler calls the
-//!   model's `Surrogate::predict_batch` directly and a `/mine` handler calls
-//!   `Surf::mine_with`, so a served answer is the in-process answer. Errors map onto
-//!   structured JSON bodies via [`error::ServeError`].
+//!   idle timeouts and bounded-queue admission control. A `/predict` handler answers all of
+//!   a request's regions with one `Surrogate::predict_batch` call and a `/mine` handler
+//!   calls `Surf::mine_with`, so a served answer is the in-process answer, bit for bit.
+//!   Errors map onto structured JSON bodies via [`error::ServeError`].
 //!
 //! The `surf-serve` binary wires the layers into `train` / `serve` / `query` subcommands; see
 //! the crate README section and `examples/serve.rs` for the full train → save → serve → query
@@ -44,7 +42,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod artifact;
-pub mod cache;
 mod conn;
 pub mod error;
 mod event_loop;
@@ -56,7 +53,6 @@ pub mod routes;
 pub mod server;
 
 pub use artifact::{ModelArtifact, SCHEMA_VERSION};
-pub use cache::{CacheConfig, CacheStats, PredictionCache};
 pub use error::ServeError;
 pub use obs::ServeObs;
 pub use registry::{ModelInfo, ModelRegistry, ServableModel};

@@ -3,8 +3,8 @@
 //!
 //! One [`ServeObs`] is owned by each [`ServeContext`] — servers in the same process (the
 //! e2e suite runs several) never share counters. The registry is the **single source of
-//! truth**: `/stats` reads the same instruments `/metrics` renders, and component
-//! counters that predate this module (cache, job queue) are appended to the snapshot as
+//! truth**: `/stats` reads the same instruments `/metrics` renders, and component state
+//! that predates this module (job queue, registry, uptime) is appended to the snapshot as
 //! adapter families so every number `/stats` serves has a Prometheus series with a stable
 //! name.
 //!
@@ -232,8 +232,8 @@ impl ServeObs {
 }
 
 /// Assembles the full `/metrics` snapshot for a server: the serve registry, adapter
-/// families for the component counters that keep their own atomics (cache, job queue,
-/// uptime), and the process-wide [`surf_obs::global`] registry
+/// families for the component state kept outside it (job queue, registry, uptime), and
+/// the process-wide [`surf_obs::global`] registry
 /// (training/mining spans). Deterministically ordered.
 pub fn metrics_snapshot(context: &ServeContext) -> Snapshot {
     let mut snapshot = context.obs.registry.snapshot();
@@ -261,44 +261,6 @@ pub fn metrics_snapshot(context: &ServeContext) -> Snapshot {
         "Registered models",
         &[],
         context.registry.len().unwrap_or(0) as i64,
-    );
-
-    let cache = context.cache.stats();
-    snapshot.push_counter(
-        "surf_serve_cache_hits_total",
-        "Prediction-cache lookups answered from the cache",
-        &[],
-        cache.hits,
-    );
-    snapshot.push_counter(
-        "surf_serve_cache_misses_total",
-        "Prediction-cache lookups that missed",
-        &[],
-        cache.misses,
-    );
-    snapshot.push_counter(
-        "surf_serve_cache_insertions_total",
-        "Prediction-cache entries inserted",
-        &[],
-        cache.insertions,
-    );
-    snapshot.push_counter(
-        "surf_serve_cache_evictions_total",
-        "Prediction-cache entries evicted to respect the capacity",
-        &[],
-        cache.evictions,
-    );
-    snapshot.push_counter(
-        "surf_serve_cache_invalidations_total",
-        "Prediction-cache entries dropped by model invalidation",
-        &[],
-        cache.invalidations,
-    );
-    snapshot.push_gauge(
-        "surf_serve_cache_entries",
-        "Prediction-cache entries currently resident",
-        &[],
-        cache.entries as i64,
     );
 
     snapshot.merge(surf_obs::global().registry.snapshot());

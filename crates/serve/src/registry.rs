@@ -18,10 +18,6 @@ use crate::error::ServeError;
 pub struct ServableModel {
     /// The name the model is registered under.
     pub name: String,
-    /// Registry-assigned registration generation (unique per `register` call). Prediction
-    /// caches key on it so entries of a replaced or removed model can never be served — or
-    /// raced in — under a successor registered with the same name.
-    pub generation: u64,
     /// Descriptive metadata carried over from the artifact envelope.
     pub metadata: ArtifactMetadata,
     /// Schema version of the artifact the model was loaded from.
@@ -45,7 +41,6 @@ pub struct ModelInfo {
 #[derive(Default)]
 pub struct ModelRegistry {
     slots: RwLock<HashMap<String, Arc<ServableModel>>>,
-    next_generation: std::sync::atomic::AtomicU64,
 }
 
 impl ModelRegistry {
@@ -102,13 +97,8 @@ impl ModelRegistry {
             )));
         }
         let engine = artifact.into_engine()?;
-        let generation = self
-            .next_generation
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
         let model = Arc::new(ServableModel {
             name: name.clone(),
-            generation,
             metadata,
             schema_version,
             engine,
@@ -273,18 +263,5 @@ mod tests {
             .expect("registration must fail");
         assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
         assert!(registry.is_empty().unwrap());
-    }
-
-    #[test]
-    fn generations_are_unique_and_monotonic() {
-        let registry = ModelRegistry::new();
-        registry.register(artifact("a", 1)).unwrap();
-        registry.register(artifact("b", 2)).unwrap();
-        let first = registry.get("a").unwrap().generation;
-        let second = registry.get("b").unwrap().generation;
-        assert!(second > first);
-        // Hot-swapping assigns a fresh generation.
-        registry.register(artifact("a", 3)).unwrap();
-        assert!(registry.get("a").unwrap().generation > second);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! | Route            | Method | Purpose                                              |
 //! |------------------|--------|------------------------------------------------------|
-//! | `/predict`       | POST   | Surrogate estimates for one or many regions (cached) |
+//! | `/predict`       | POST   | Surrogate estimates for one or many regions          |
 //! | `/mine`          | POST   | GSO region mining against a registered surrogate     |
 //! | `/models`        | GET    | List registered models                               |
 //! | `/healthz`       | GET    | Liveness + model count                               |
@@ -22,7 +22,6 @@ use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_obs::TraceSample;
 
-use crate::cache::CacheStats;
 use crate::error::ServeError;
 use crate::http::{Request, CONTENT_TYPE_JSON, CONTENT_TYPE_METRICS};
 use crate::registry::ModelInfo;
@@ -83,9 +82,11 @@ pub struct PredictResponse {
     pub statistic: Statistic,
     /// One estimate per requested region, in request order (single `region` first).
     pub predictions: Vec<f64>,
-    /// How many of this request's regions were answered from the cache.
+    /// Always 0: the server keeps no prediction cache. Held only because the benchmark in
+    /// `surfbench/` builds a `PredictResponse` with it; delete it once that stops.
     pub cache_hits: usize,
-    /// How many required a surrogate evaluation.
+    /// The number of regions, every one answered by the surrogate. Held for the same
+    /// reason as `cache_hits`.
     pub cache_misses: usize,
 }
 
@@ -164,8 +165,6 @@ pub struct StatsResponse {
     pub queue_depth: u64,
     /// Requests refused by admission control with a `503`.
     pub admission_rejects: u64,
-    /// Prediction-cache counters.
-    pub cache: CacheStats,
     /// `/predict` latency counters.
     pub predict: EndpointSnapshot,
     /// `/mine` latency counters.
@@ -262,8 +261,8 @@ fn route(context: &ServeContext, request: &Request) -> Result<Reply, ServeError>
 }
 
 /// `/stats` is a *view* over the same instruments `/metrics` renders: every number below
-/// is read from the [`crate::obs::ServeObs`] registry or from the component stats structs
-/// the `/metrics` adapter families are built from.
+/// is read from the [`crate::obs::ServeObs`] registry or from the component state the
+/// `/metrics` adapter families are built from.
 fn stats(context: &ServeContext) -> Result<String, ServeError> {
     let obs = &context.obs;
     to_json(&StatsResponse {
@@ -273,7 +272,6 @@ fn stats(context: &ServeContext) -> Result<String, ServeError> {
         keepalive_reuses: obs.keepalive_reuses.get(),
         queue_depth: context.queue_depth(),
         admission_rejects: obs.admission_rejects(),
-        cache: context.cache.stats(),
         predict: obs.predict.snapshot(),
         mine: obs.mine.snapshot(),
         other: obs.other.snapshot(),
@@ -296,9 +294,8 @@ fn predict(context: &ServeContext, body: &str) -> Result<String, ServeError> {
     }
 
     let model = context.registry.get(&request.model)?;
-    // Validate every region up front, then split the batch into cache hits and misses; the
-    // misses are answered in one `Surrogate::predict_batch` call — a single blocked pass of
-    // the model's compiled ensemble instead of one tree-walk per region.
+    // Validate every region up front, then answer them all in one `Surrogate::predict_batch`
+    // call: a single blocked pass of the model's compiled ensemble, in request order.
     let mut regions = Vec::with_capacity(specs.len());
     for spec in &specs {
         let region = spec.to_region()?;
@@ -312,65 +309,13 @@ fn predict(context: &ServeContext, body: &str) -> Result<String, ServeError> {
         }
         regions.push(region);
     }
-    let mut predictions = vec![f64::NAN; regions.len()];
-    let mut miss_regions: Vec<Region> = Vec::new();
-    // (response slot, index into `miss_regions`): misses are deduplicated by the cache's own
-    // key, so a region repeated within one request is predicted once and its repeats take
-    // the cache-hit path — exactly as they did when misses were answered one by one.
-    let mut pending: Vec<(usize, usize)> = Vec::new();
-    let mut unique = std::collections::HashMap::new();
-    let mut cache_hits = 0;
-    let mut cache_misses = 0;
-    for (slot, region) in regions.iter().enumerate() {
-        match context.cache.get(&model.name, model.generation, region) {
-            Some(value) => {
-                cache_hits += 1;
-                predictions[slot] = value;
-            }
-            None => {
-                let key = context.cache.key(&model.name, model.generation, region);
-                let index = *unique.entry(key).or_insert_with(|| {
-                    miss_regions.push(region.clone());
-                    miss_regions.len() - 1
-                });
-                pending.push((slot, index));
-            }
-        }
-    }
-    if !miss_regions.is_empty() {
-        let values = context.evaluate_regions(&model, &miss_regions);
-        let mut inserted = vec![false; miss_regions.len()];
-        for (slot, index) in pending {
-            if inserted[index] {
-                // A later duplicate: served from the cache entry its first occurrence just
-                // inserted (falling through to a re-insert on the rare concurrent eviction).
-                if let Some(value) =
-                    context
-                        .cache
-                        .get(&model.name, model.generation, &miss_regions[index])
-                {
-                    cache_hits += 1;
-                    predictions[slot] = value;
-                    continue;
-                }
-            }
-            inserted[index] = true;
-            cache_misses += 1;
-            context.cache.insert(
-                &model.name,
-                model.generation,
-                &miss_regions[index],
-                values[index],
-            );
-            predictions[slot] = values[index];
-        }
-    }
+    let predictions = context.evaluate_regions(&model, &regions);
     to_json(&PredictResponse {
         model: model.name.clone(),
         statistic: model.metadata.statistic,
+        cache_hits: 0,
+        cache_misses: predictions.len(),
         predictions,
-        cache_hits,
-        cache_misses,
     })
 }
 

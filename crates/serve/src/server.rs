@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use surf_data::region::Region;
 use surf_obs::ObsConfig;
 
-use crate::cache::{CacheConfig, PredictionCache};
 use crate::error::ServeError;
 use crate::event_loop::{spawn_event_transport, EventLoopSettings, HandlerJob};
 use crate::obs::{RouteStats, ServeObs};
@@ -41,8 +40,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest accepted request body; larger requests are answered with `413`.
     pub max_body_bytes: usize,
-    /// Prediction-cache sizing.
-    pub cache: CacheConfig,
     /// Close keep-alive connections idle for longer than this. Also the ceiling a
     /// slowloris client can dribble header bytes without completing a request.
     pub idle_timeout_ms: u64,
@@ -62,7 +59,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             max_body_bytes: 1024 * 1024,
-            cache: CacheConfig::default(),
             idle_timeout_ms: 5_000,
             max_connections: 1_024,
             max_pending_requests: 256,
@@ -85,12 +81,10 @@ pub struct EndpointSnapshot {
     pub mean_micros: u64,
 }
 
-/// Shared state of a serving process: registry, cache, job queue and instruments.
+/// Shared state of a serving process: registry, job queue and instruments.
 pub struct ServeContext {
     /// The models being served.
     pub registry: Arc<ModelRegistry>,
-    /// The shared prediction cache.
-    pub cache: PredictionCache,
     /// Every instrument this server records — the single source `/stats`, `/metrics` and
     /// `/trace` all read from.
     pub obs: ServeObs,
@@ -103,27 +97,6 @@ pub struct ServeContext {
 }
 
 impl ServeContext {
-    /// Registers (or hot-swaps) a model and drops any predictions cached under its name.
-    /// Correctness does not depend on the invalidation — cache keys carry the registration
-    /// generation, so a new registration can never hit (or be polluted by) a predecessor's
-    /// entries — but dropping them up front reclaims the retired generation's memory.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ModelRegistry::register`] error: a metadata/state mismatch, an engine-rebuild
-    /// failure, or a poisoned registry lock.
-    pub fn register(
-        &self,
-        artifact: crate::artifact::ModelArtifact,
-    ) -> Result<Option<Arc<ServableModel>>, ServeError> {
-        let name = artifact.name.clone();
-        let previous = self.registry.register(artifact)?;
-        if previous.is_some() {
-            self.cache.invalidate_model(&name);
-        }
-        Ok(previous)
-    }
-
     /// The endpoint counter bucket for a request path.
     pub(crate) fn stats_for(&self, path: &str) -> &RouteStats {
         match path {
@@ -169,7 +142,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared serving state (e.g. to inspect cache counters in-process).
+    /// The shared serving state (e.g. to hot-swap a model or read instruments in-process).
     pub fn context(&self) -> &Arc<ServeContext> {
         &self.context
     }
@@ -205,7 +178,6 @@ pub fn serve(
     let shutdown = Arc::new(AtomicBool::new(false));
     let context = Arc::new(ServeContext {
         registry,
-        cache: PredictionCache::new(&config.cache),
         obs: ServeObs::new(&config.obs),
         workers,
         started: Instant::now(),

@@ -14,7 +14,6 @@ use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_obs::expo;
 use surf_optim::gso::GsoParams;
-use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
 use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec, StatsResponse};
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
@@ -45,15 +44,11 @@ fn start(engine: &Surf, config: ServerConfig) -> ServerHandle {
     serve(registry, &config).unwrap()
 }
 
-/// Cache off so every `/predict` reaches the surrogate; trace sampling pinned to every
-/// request so the flight recorder's contents are deterministic.
+/// Trace sampling pinned to every request so the flight recorder's contents are
+/// deterministic.
 fn obs_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
-        cache: CacheConfig {
-            capacity: 0,
-            ..CacheConfig::default()
-        },
         obs: ObsConfig {
             trace_sample_every: 1,
             ..ObsConfig::default()

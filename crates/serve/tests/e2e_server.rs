@@ -3,9 +3,8 @@
 //!
 //! Covers the happy paths (`/predict` single + batch, `/mine`, `/models`, `/healthz`,
 //! `/stats`), the error paths (malformed JSON, unknown model, unknown route, wrong method,
-//! oversized body, invalid regions), cache-counter behaviour under repeated queries, ≥ 8
-//! concurrent clients receiving correct answers, and hot-swapping a model without serving
-//! stale cached predictions.
+//! oversized body, invalid regions), ≥ 8 concurrent clients receiving correct answers,
+//! hot-swapping a model, and regions closer than 1e-9 that each get their own prediction.
 
 use std::sync::Arc;
 
@@ -15,7 +14,6 @@ use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_optim::gso::GsoParams;
-use surf_serve::cache::CacheConfig;
 use surf_serve::http::http_request;
 use surf_serve::routes::{
     HealthResponse, MineResponse, ModelsResponse, PredictRequest, PredictResponse, RegionSpec,
@@ -58,11 +56,6 @@ fn start_server() -> (ServerHandle, Surf) {
         addr: "127.0.0.1:0".to_string(),
         workers: 8,
         max_body_bytes: 64 * 1024,
-        cache: CacheConfig {
-            capacity: 256,
-            shards: 4,
-            quantize_decimals: 9,
-        },
         ..ServerConfig::default()
     };
     let handle = serve(registry, &config).unwrap();
@@ -140,7 +133,7 @@ fn end_to_end_serving() {
     );
     assert_eq!((response.cache_hits, response.cache_misses), (0, 1));
 
-    // The same query again is answered from the cache.
+    // The same query again gets the same bits.
     let (status, body) = post(
         &addr,
         "/predict",
@@ -148,7 +141,7 @@ fn end_to_end_serving() {
     );
     assert_eq!(status, 200);
     let response: PredictResponse = serde_json::from_str(&body).unwrap();
-    assert_eq!((response.cache_hits, response.cache_misses), (1, 0));
+    assert_eq!((response.cache_hits, response.cache_misses), (0, 1));
     assert_eq!(
         response.predictions[0].to_bits(),
         local_engine.surrogate().predict(&probe).to_bits()
@@ -169,13 +162,13 @@ fn end_to_end_serving() {
         );
     }
 
-    // --- batched predict with duplicates: one miss, repeats are hits --------------------
+    // --- batched predict with duplicates: each repeat gets the same bits ----------------
     let fresh = Region::new(vec![0.42, 0.17], vec![0.04, 0.06]).unwrap();
     let duplicates = vec![fresh.clone(), fresh.clone(), fresh.clone()];
     let (status, body) = post(&addr, "/predict", &predict_body("hotspots", &duplicates));
     assert_eq!(status, 200);
     let response: PredictResponse = serde_json::from_str(&body).unwrap();
-    assert_eq!((response.cache_hits, response.cache_misses), (2, 1));
+    assert_eq!((response.cache_hits, response.cache_misses), (0, 3));
     let expected_fresh = local_engine.surrogate().predict(&fresh);
     for served in &response.predictions {
         assert_eq!(served.to_bits(), expected_fresh.to_bits());
@@ -199,7 +192,7 @@ fn end_to_end_serving() {
     let mined: MineResponse = serde_json::from_str(&body).unwrap();
     assert!(mined.outcome.regions.len() <= 1);
 
-    // --- concurrent clients: correct answers, counted hits -----------------------------
+    // --- concurrent clients: correct answers, counted requests --------------------------
     let stats_before: StatsResponse = serde_json::from_str(&get(&addr, "/stats").1).unwrap();
     let clients = 10u64;
     let requests_per_client = 6u64;
@@ -222,11 +215,6 @@ fn end_to_end_serving() {
     assert_eq!(
         stats_after.predict.requests - stats_before.predict.requests,
         clients * requests_per_client
-    );
-    // Every concurrent request targeted an already-cached key.
-    assert!(
-        stats_after.cache.hits >= stats_before.cache.hits + clients * requests_per_client,
-        "cache hits did not increase under repeated queries: {stats_before:?} -> {stats_after:?}"
     );
     assert_eq!(stats_after.predict.errors, stats_before.predict.errors);
     assert!(stats_after.workers == 8);
@@ -294,10 +282,11 @@ fn end_to_end_serving() {
     let (status, _) = get(&addr, "/healthz");
     assert_eq!(status, 200);
 
-    // --- hot-swap: new model, no stale cache --------------------------------------------
+    // --- hot-swap: the new model answers at once ---------------------------------------
     let replacement = quick_engine(97);
     let replaced = handle
         .context()
+        .registry
         .register(ModelArtifact::from_engine("hotspots", &replacement))
         .unwrap();
     assert!(replaced.is_some());
@@ -311,13 +300,76 @@ fn end_to_end_serving() {
     assert_eq!(
         response.predictions[0].to_bits(),
         replacement.surrogate().predict(&probe).to_bits(),
-        "hot-swapped model must answer with its own predictions, not cached ones"
-    );
-    assert_eq!(
-        response.cache_hits, 0,
-        "stale cache entry survived hot-swap"
+        "hot-swapped model must answer with its own predictions"
     );
 
+    handle.shutdown();
+}
+
+/// Two regions on either side of one of `engine`'s splits whose bounds differ by less than
+/// 1e-9. Bisects along the first centre coordinate between two regions that predict
+/// differently, keeping the two predictions apart, until the centres are adjacent floats.
+fn pair_straddling_a_split(engine: &Surf) -> (Region, Region) {
+    let surrogate = engine.surrogate();
+    let at = |x: f64| Region::new(vec![x, 0.5], vec![0.05, 0.05]).unwrap();
+    let predict = |x: f64| surrogate.predict(&at(x)).to_bits();
+    let (mut lo, mut hi) = (1..100)
+        .map(|i| (0.01 * (i - 1) as f64, 0.01 * i as f64))
+        .find(|&(a, b)| predict(a) != predict(b))
+        .expect("the model's prediction varies along the first centre coordinate");
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if predict(mid) == predict(lo) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let (a, b) = (at(lo), at(hi));
+    let bounds = |r: &Region| [r.lower(), r.upper()].concat();
+    for (p, q) in bounds(&a).into_iter().zip(bounds(&b)) {
+        assert!(
+            (p - q).abs() < 1e-9,
+            "bounds {p} and {q} are 1e-9 or more apart"
+        );
+    }
+    assert_ne!(
+        surrogate.predict(&a).to_bits(),
+        surrogate.predict(&b).to_bits()
+    );
+    (a, b)
+}
+
+/// Regions whose bounds differ by less than 1e-9 but straddle a split each get their own
+/// prediction, in one batch and alone: no rounding of bounds stands between a request and
+/// `predict_batch`.
+#[test]
+fn regions_closer_than_1e_9_get_their_own_predictions() {
+    let local_engine = quick_engine(11);
+    let registry = Arc::new(ModelRegistry::new());
+    registry
+        .register(ModelArtifact::from_engine("hotspots", &local_engine))
+        .unwrap();
+    let handle = serve(registry, &ServerConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let (a, b) = pair_straddling_a_split(&local_engine);
+
+    for regions in [vec![a, b.clone()], vec![b]] {
+        let (status, body) = post(&addr, "/predict", &predict_body("hotspots", &regions));
+        assert_eq!(status, 200, "predict: {body}");
+        let response: PredictResponse = serde_json::from_str(&body).unwrap();
+        let served: Vec<u64> = response.predictions.iter().map(|v| v.to_bits()).collect();
+        let local: Vec<u64> = local_engine
+            .surrogate()
+            .predict_batch(&regions)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(served, local, "served != in-process predict_batch");
+    }
     handle.shutdown();
 }
 

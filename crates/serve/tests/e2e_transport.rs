@@ -12,7 +12,6 @@ use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_optim::gso::GsoParams;
-use surf_serve::cache::CacheConfig;
 use surf_serve::http::HttpClient;
 use surf_serve::routes::{PredictRequest, PredictResponse, RegionSpec, StatsResponse};
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
@@ -43,14 +42,10 @@ fn start(engine: &Surf, config: ServerConfig) -> ServerHandle {
     serve(registry, &config).unwrap()
 }
 
-/// A server with the cache off, so every `/predict` exercises the surrogate.
+/// A server with four handler threads.
 fn event_config() -> ServerConfig {
     ServerConfig {
         workers: 4,
-        cache: CacheConfig {
-            capacity: 0,
-            ..CacheConfig::default()
-        },
         ..ServerConfig::default()
     }
 }
@@ -234,8 +229,8 @@ fn admission_control_answers_503_with_retry_after() {
     handle.shutdown();
 }
 
-/// Concurrent cache-off clients asking for distinct regions each get exactly the bits an
-/// in-process `predict_batch` over their own regions returns.
+/// Concurrent clients asking for distinct regions each get exactly the bits an in-process
+/// `predict_batch` over their own regions returns.
 #[test]
 fn concurrent_responses_are_bit_identical_to_in_process_predict_batch() {
     let engine = quick_engine(41);

@@ -7,15 +7,15 @@
 //! The example trains a surrogate on a synthetic dataset, persists it as a versioned JSON
 //! artifact (`ModelArtifact::save_json`), reloads it exactly as a fresh serving process
 //! would (`ModelArtifact::load_json`), registers it into a `ModelRegistry` and serves it on
-//! an ephemeral port with the worker-pool HTTP API. It then queries `/predict` twice (the
-//! second answer comes from the prediction cache), mines regions over HTTP via `/mine`, and
-//! prints the `/stats` counters before shutting the server down.
+//! an ephemeral port with the worker-pool HTTP API. It then queries `/predict` twice (both
+//! answers carry the bits of the in-process prediction), mines regions over HTTP via
+//! `/mine`, and prints the `/stats` counters before shutting the server down.
 
 use std::sync::Arc;
 
 use surf::prelude::*;
 use surf::serve::http::http_request;
-use surf::serve::routes::{PredictRequest, RegionSpec};
+use surf::serve::routes::{PredictRequest, PredictResponse, RegionSpec};
 
 fn main() {
     // 1. Train a surrogate on a synthetic dataset with one planted dense region.
@@ -67,20 +67,23 @@ fn main() {
     let addr = handle.addr().to_string();
     println!("serving on http://{addr} with 4 workers");
 
-    // 4. Query /predict twice: the second answer is a cache hit.
+    // 4. Query /predict twice: both answers are the in-process prediction, bit for bit.
+    let region = Region::new(vec![0.5, 0.5], vec![0.1, 0.1]).expect("valid region");
     let body = serde_json::to_string(&PredictRequest {
         model: "hotspots".to_string(),
-        region: Some(RegionSpec {
-            center: vec![0.5, 0.5],
-            half_lengths: vec![0.1, 0.1],
-        }),
+        region: Some(RegionSpec::from_region(&region)),
         regions: None,
     })
     .unwrap();
+    let local = engine.surrogate().predict(&region);
     for round in 1..=2 {
         let (status, response) =
             http_request(&addr, "POST", "/predict", Some(&body)).expect("predict succeeds");
-        println!("predict round {round}: HTTP {status} {response}");
+        let served: PredictResponse = serde_json::from_str(&response).expect("reply parses");
+        println!(
+            "predict round {round}: HTTP {status} {response} (same bits as in-process: {})",
+            served.predictions[0].to_bits() == local.to_bits()
+        );
     }
 
     // 5. Mine regions over HTTP — no data access happens anywhere in the serving path.

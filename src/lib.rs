@@ -16,10 +16,10 @@
 //!
 //! * [`data`] — datasets, regions, statistics, synthetic/real-world-like generators.
 //! * [`ml`] — regression trees, gradient boosting, KDE, cross-validation, grid search.
-//! * [`optim`] — Glowworm Swarm Optimization, PSO, the Naive baseline and PRIM.
+//! * [`optim`] — Glowworm Swarm Optimization, the Naive baseline and PRIM.
 //! * [`core`] — objective functions, surrogate abstraction and the SuRF pipeline.
 //! * [`serve`] — surrogate persistence (versioned JSON artifacts) and a concurrent HTTP
-//!   serving subsystem (model registry, prediction cache, worker-pool JSON API).
+//!   serving subsystem (model registry, worker-pool JSON API).
 //!
 //! ## Quick start
 //!
@@ -86,7 +86,5 @@ pub mod prelude {
         naive::{NaiveParams, NaiveSearch},
         prim::{Prim, PrimParams},
     };
-    pub use surf_serve::{
-        serve, CacheConfig, ModelArtifact, ModelRegistry, ServeError, ServerConfig,
-    };
+    pub use surf_serve::{serve, ModelArtifact, ModelRegistry, ServeError, ServerConfig};
 }
