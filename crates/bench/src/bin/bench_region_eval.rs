@@ -1,5 +1,5 @@
 //! Region-evaluation performance trajectory: times `Statistic::evaluate` on a
-//! workload-shaped region mix — full column scan vs. grid index vs. k-d tree — across
+//! workload-shaped region mix — full column scan vs. grid index — across
 //! N ∈ {10k, 100k, 1M} and d ∈ {2, 4, 8}, and writes the results (including index build
 //! times and speedup factors) to `BENCH_region_eval.json` in the working directory, stamped
 //! with the host's available parallelism and detected ISA, so CI can accumulate a perf
@@ -48,7 +48,7 @@ struct Artifact {
 
 fn main() {
     let scale = Scale::from_args();
-    println!("# region_eval — scan vs. grid vs. k-d tree");
+    println!("# region_eval — scan vs. grid");
 
     let sizes: Vec<usize> = scale.pick(
         vec![10_000, 50_000],
@@ -78,7 +78,7 @@ fn main() {
             .expect("valid workload spec");
 
             let mut scan_micros = f64::NAN;
-            for kind in [IndexKind::Scan, IndexKind::Grid, IndexKind::KdTree] {
+            for kind in [IndexKind::Scan, IndexKind::Grid] {
                 // One-off build cost (cached afterwards; 0 for the scan).
                 let build_start = Instant::now();
                 dataset.region_index(kind);

@@ -36,11 +36,7 @@ fn main() {
             .with_seed(70),
     );
     let threshold = Threshold::above(scale.pick(600.0, 1_000.0, 1_080.0));
-    // Pinned to the scan path: this figure reproduces the paper's cost regime, where
-    // every true-f evaluation is a full data scan (the spatial index would change the
-    // measured surrogate-vs-true-f gap; see the `bench_region_eval` binary for that story).
-    let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0)
-        .with_index_kind(surf_data::index::IndexKind::Scan);
+    let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0);
 
     let resolution = scale.pick(20usize, 40, 60);
     let mut cells = Vec::new();

@@ -29,11 +29,7 @@ fn main() {
             .with_seed(80),
     );
     let threshold = Threshold::above(scale.pick(600.0, 1_000.0, 1_080.0));
-    // Pinned to the scan path: this figure reproduces the paper's cost regime, where
-    // every true-f evaluation is a full data scan (the spatial index would change the
-    // measured surrogate-vs-true-f gap; see benches/region_eval.rs for that story).
-    let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0)
-        .with_index_kind(surf_data::index::IndexKind::Scan);
+    let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0);
 
     // A fixed set of candidate solutions spread uniformly over the (x1, l1) space.
     let resolution = scale.pick(30usize, 50, 80);

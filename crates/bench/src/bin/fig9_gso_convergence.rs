@@ -1,4 +1,4 @@
-//! Figure 9: GSO convergence — the expected objective value E[𝒥] versus iterations for
+//! Figure 9: GSO convergence — the expected objective value E\[𝒥\] versus iterations for
 //! solution-space dimensionalities 2..10 (data d = 1..5) and k ∈ {1, 3} ground-truth regions,
 //! using the dimension-adaptive L = 50·d glowworms and r0 from Friedman et al. Eq. 2.24.
 //! The paper reports an average of ≈63 iterations to convergence.

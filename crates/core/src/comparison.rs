@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use surf_data::dataset::Dataset;
-use surf_data::index::IndexKind;
 use surf_data::region::Region;
 use surf_data::statistic::{Statistic, Target};
 use surf_data::synthetic::SyntheticDataset;
@@ -79,10 +78,6 @@ pub struct ComparisonConfig {
     pub cluster_radius_fraction: f64,
     /// Report at most this many regions per method.
     pub max_reported_regions: usize,
-    /// Spatial index serving the data-touching methods (Naive, f+GlowWorm, SuRF's workload
-    /// generation). Identical results for every choice; `Scan` restores the original full
-    /// column scans (the cost regime Table I was measured in).
-    pub index_kind: IndexKind,
     /// Master seed.
     pub seed: u64,
 }
@@ -100,7 +95,6 @@ impl Default for ComparisonConfig {
             max_length_fraction: 0.5,
             cluster_radius_fraction: 0.15,
             max_reported_regions: 24,
-            index_kind: IndexKind::default(),
             seed: 29,
         }
     }
@@ -155,6 +149,10 @@ impl MethodRun {
 }
 
 /// The comparison harness.
+///
+/// The data-touching work — Naive, f+GlowWorm and SuRF's workload generation — is served by
+/// the dataset's own spatial index: pin the full column scans of the paper's Table I cost
+/// regime with `Dataset::with_index_kind(IndexKind::Scan)`.
 #[derive(Debug, Clone)]
 pub struct MethodComparison {
     config: ComparisonConfig,
@@ -229,7 +227,7 @@ impl MethodComparison {
             min_length_fraction: self.config.min_length_fraction,
             max_length_fraction: self.config.max_length_fraction,
             cluster_radius_fraction: self.config.cluster_radius_fraction,
-            index_kind: self.config.index_kind,
+            index_kind: dataset.index_kind(),
             seed: self.config.seed,
             ..SurfConfig::default()
         };
@@ -254,8 +252,7 @@ impl MethodComparison {
         threshold: Threshold,
     ) -> Result<MethodRun, SurfError> {
         let domain = dataset.domain()?;
-        let surrogate = TrueFunctionSurrogate::new(dataset, statistic, 0.0)
-            .with_index_kind(self.config.index_kind);
+        let surrogate = TrueFunctionSurrogate::new(dataset, statistic, 0.0);
         let start = Instant::now();
         let outcome = mine_regions(
             &surrogate,
@@ -287,8 +284,7 @@ impl MethodComparison {
         threshold: Threshold,
     ) -> Result<MethodRun, SurfError> {
         let domain = dataset.domain()?;
-        let surrogate = TrueFunctionSurrogate::new(dataset, statistic, 0.0)
-            .with_index_kind(self.config.index_kind);
+        let surrogate = TrueFunctionSurrogate::new(dataset, statistic, 0.0);
         let objective = self.config.objective;
         let start = Instant::now();
         let result = NaiveSearch::new(self.config.naive.clone()).search(&domain, |region| {
@@ -350,6 +346,7 @@ impl MethodComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surf_data::index::IndexKind;
     use surf_data::synthetic::SyntheticSpec;
 
     fn density_synthetic() -> SyntheticDataset {
@@ -448,17 +445,17 @@ mod tests {
             naive: NaiveParams::default()
                 .with_grid(6, 6)
                 .with_time_limit(Duration::from_millis(5)),
-            // Pin the unindexed scan path: the timeout/coverage reporting is what is under
-            // test here, and it needs the original per-candidate full-scan cost regime (the
-            // grid index finishes all 1,296 candidates well inside 5 ms).
-            index_kind: IndexKind::Scan,
             ..ComparisonConfig::quick()
         };
+        // Pin the unindexed scan path: the timeout/coverage reporting is what is under test
+        // here, and it needs the original per-candidate full-scan cost regime (the grid index
+        // finishes all 1,296 candidates well inside 5 ms).
+        let dataset = synthetic.dataset.with_index_kind(IndexKind::Scan);
         let harness = MethodComparison::new(config);
         let run = harness
             .run(
                 Method::Naive,
-                &synthetic.dataset,
+                &dataset,
                 Statistic::Count,
                 Threshold::above(400.0),
             )
@@ -479,13 +476,12 @@ mod tests {
                 naive: NaiveParams::default()
                     .with_grid(6, 6)
                     .with_time_limit(limit),
-                index_kind: kind,
                 ..ComparisonConfig::quick()
             };
             MethodComparison::new(config)
                 .run(
                     Method::Naive,
-                    &synthetic.dataset,
+                    &synthetic.dataset.clone().with_index_kind(kind),
                     Statistic::Count,
                     Threshold::above(400.0),
                 )

@@ -278,7 +278,7 @@ pub struct Surf {
 ///
 /// [`Surf::export_state`] extracts it; [`Surf::from_state`] rebuilds a working engine,
 /// re-validating the configuration and the model's feature width. Everything else the engine
-/// holds (spatial indexes, datasets) is training-time machinery that a restored engine does
+/// holds (the spatial index, datasets) is training-time machinery that a restored engine does
 /// not need: mining never touches the data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurfState {
@@ -305,8 +305,11 @@ impl Surf {
     /// The workload evaluation — `training_queries` region statistics, by far the dominant
     /// training cost (the paper's Fig. 6) — is served by the spatial index selected with
     /// [`SurfConfig::index_kind`] (built once up front) and fans out over
-    /// [`SurfConfig::threads`] OS threads; the resulting workload is identical to the
-    /// sequential, unindexed one for every thread count and index choice.
+    /// [`SurfConfig::threads`] OS threads. The workload, and so the fitted state, is identical
+    /// for every thread count. Across index choices it is bit-identical for Count,
+    /// CountPerVolume, Ratio, Min, Max and Median; Sum, Average and Variance add per-cell
+    /// partial sums on the grid, so their values differ from the scan's in the last bits
+    /// (floating-point re-association) and the fitted model may differ with them.
     pub fn fit(dataset: &Dataset, config: &SurfConfig) -> Result<Surf, SurfError> {
         config.validate()?;
         let workload_spec = WorkloadSpec::default()
@@ -530,8 +533,9 @@ impl Surf {
 mod tests {
     use super::*;
     use crate::surrogate::TrueFunctionSurrogate;
+    use surf_data::index::IndexKind;
     use surf_data::iou::average_best_iou;
-    use surf_data::statistic::Statistic;
+    use surf_data::statistic::{Statistic, Target};
     use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 
     fn quick_config(threshold: f64) -> SurfConfig {
@@ -662,6 +666,60 @@ mod tests {
             restored.surrogate().predict(&probe)
         );
         assert_eq!(surf.mine().regions, restored.mine().regions);
+    }
+
+    /// The exported state with the wall-clock training time and the two knobs under test
+    /// normalized away.
+    fn comparable_state(surf: &Surf) -> SurfState {
+        let mut state = surf.export_state();
+        state.training_report.training_time = Duration::ZERO;
+        state.config.index_kind = IndexKind::Grid;
+        state.config.threads = 0;
+        state
+    }
+
+    #[test]
+    fn count_fit_is_identical_for_every_index_and_thread_count() {
+        // The grid answers Count bit-identically to the scan, and each workload evaluation is
+        // independent of the others, so neither knob may move the fitted state.
+        let synthetic = dense_dataset();
+        let fit = |kind: IndexKind, threads: usize| {
+            let mut config = quick_config(600.0);
+            config.index_kind = kind;
+            config.threads = threads;
+            comparable_state(&Surf::fit(&synthetic.dataset, &config).unwrap())
+        };
+        let reference = fit(IndexKind::Scan, 1);
+        for (kind, threads) in [
+            (IndexKind::Scan, 2),
+            (IndexKind::Grid, 1),
+            (IndexKind::Grid, 2),
+        ] {
+            assert!(
+                fit(kind, threads) == reference,
+                "{kind:?} on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn average_fit_is_identical_for_every_thread_count_on_the_grid() {
+        // The grid adds an Average's per-cell partial sums in another order than the scan, so
+        // its workload may differ from the scan's in the last bits; the thread count must
+        // still not matter.
+        let synthetic = SyntheticDataset::generate(
+            &SyntheticSpec::aggregate(2, 1)
+                .with_points(4_000)
+                .with_seed(3),
+        );
+        let fit = |threads: usize| {
+            let mut config = quick_config(0.0);
+            config.statistic = Statistic::Average(Target::Measure);
+            config.index_kind = IndexKind::Grid;
+            config.threads = threads;
+            comparable_state(&Surf::fit(&synthetic.dataset, &config).unwrap())
+        };
+        assert!(fit(1) == fit(2));
     }
 
     #[test]

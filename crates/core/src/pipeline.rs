@@ -59,12 +59,13 @@ pub struct SurfConfig {
     /// mining. `0` = automatic (available parallelism, capped at 8), `1` = fully sequential.
     /// Results are identical for every thread count.
     pub threads: usize,
-    /// Spatial index the pipeline's data-touching evaluations (workload generation in
-    /// `Surf::fit` and, via the comparison harness, the true-function baselines) are served
-    /// by: a uniform grid (default), a k-d tree for skewed data, or `Scan` to disable
-    /// indexing. Free-standing helpers like `validity_fraction` follow the *dataset's* own
-    /// default instead (`Dataset::with_index_kind`). Indexes are built lazily once per
-    /// dataset and cached; results are identical for every choice (see `surf_data::index`).
+    /// Spatial index serving the workload evaluation of `Surf::fit`: the uniform grid
+    /// (default) or `Scan` to disable indexing. Everything else that touches the data — the
+    /// true-function baselines and helpers like `validity_fraction` — follows the
+    /// *dataset's* own choice (`Dataset::with_index_kind`). The grid is built lazily once per
+    /// dataset and cached. Count, CountPerVolume, Ratio, Min, Max and Median evaluate
+    /// bit-identically under either choice; Sum, Average and Variance differ in the last bits
+    /// (floating-point re-association, see `surf_data::index`), and so may the fitted model.
     pub index_kind: IndexKind,
     /// Confidence margin applied to the threshold during mining, in units of the surrogate's
     /// held-out RMSE. GSO otherwise converges onto the surrogate's error band at the
@@ -269,7 +270,7 @@ impl SurfConfigBuilder {
         self
     }
 
-    /// Sets the spatial index serving the pipeline's data-touching evaluations
+    /// Sets the spatial index serving `Surf::fit`'s workload evaluation
     /// ([`IndexKind::Grid`] by default; [`IndexKind::Scan`] disables indexing).
     pub fn index_kind(mut self, kind: IndexKind) -> Self {
         self.config.index_kind = kind;
@@ -308,7 +309,7 @@ mod tests {
             .length_fractions(0.01, 0.4)
             .empty_value(-1.0)
             .cluster_radius(0.1)
-            .index_kind(IndexKind::KdTree)
+            .index_kind(IndexKind::Scan)
             .max_bins(128)
             .colsample(0.75)
             .seed(99)
@@ -319,7 +320,7 @@ mod tests {
         assert!(!config.use_kde_guide);
         assert_eq!(config.seed, 99);
         assert_eq!(config.objective.c(), 2.0);
-        assert_eq!(config.index_kind, IndexKind::KdTree);
+        assert_eq!(config.index_kind, IndexKind::Scan);
         assert_eq!(config.gbrt.max_bins, 128);
         assert_eq!(config.gbrt.colsample, 0.75);
         assert!(config.validate().is_ok());
@@ -362,6 +363,36 @@ mod tests {
         }
         let unknown = serde_json::to_string(&serde::Value::Object(unknown)).unwrap();
         assert!(serde_json::from_str::<SurfConfig>(&unknown).is_err());
+    }
+
+    #[test]
+    fn index_kinds_round_trip_and_the_removed_kd_tree_fails_to_decode() {
+        for kind in [IndexKind::Scan, IndexKind::Grid] {
+            let config = SurfConfig {
+                index_kind: kind,
+                ..SurfConfig::default()
+            };
+            let json = serde_json::to_string(&config).unwrap();
+            assert_eq!(serde_json::from_str::<SurfConfig>(&json).unwrap(), config);
+        }
+
+        // A configuration persisted while the k-d tree index existed names `KdTree`. It must
+        // fail to decode (retrain, schema version 6), not fall back to another index.
+        let json = serde_json::to_string(&SurfConfig::default()).unwrap();
+        let serde::Value::Object(mut entries) =
+            serde_json::from_str::<serde::Value>(&json).expect("config serializes to an object")
+        else {
+            panic!("config serializes to an object");
+        };
+        let slot = entries
+            .iter_mut()
+            .find(|(key, _)| key == "index_kind")
+            .map(|(_, value)| value)
+            .expect("config carries its index kind");
+        assert_eq!(*slot, serde::Value::String("Grid".into()));
+        *slot = serde::Value::String("KdTree".into());
+        let kd = serde_json::to_string(&serde::Value::Object(entries)).unwrap();
+        assert!(serde_json::from_str::<SurfConfig>(&kd).is_err());
     }
 
     #[test]

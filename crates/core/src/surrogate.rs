@@ -51,33 +51,23 @@ pub trait Surrogate: Sync {
 }
 
 /// The true statistic `f`, evaluated over the dataset — expensive but exact. Evaluation is
-/// served by the dataset's spatial index (see `surf_data::index`), configurable per
-/// surrogate with [`TrueFunctionSurrogate::with_index_kind`].
+/// served by the dataset's own spatial index (see `surf_data::index` and
+/// `Dataset::with_index_kind`).
 pub struct TrueFunctionSurrogate<'a> {
     dataset: &'a Dataset,
     statistic: Statistic,
     empty_value: f64,
-    index_kind: surf_data::index::IndexKind,
 }
 
 impl<'a> TrueFunctionSurrogate<'a> {
     /// Creates a true-function surrogate. `empty_value` is reported for regions containing no
-    /// points when the statistic is undefined on empty sets. Evaluations use the dataset's
-    /// default index kind unless overridden.
+    /// points when the statistic is undefined on empty sets.
     pub fn new(dataset: &'a Dataset, statistic: Statistic, empty_value: f64) -> Self {
         Self {
             dataset,
             statistic,
             empty_value,
-            index_kind: dataset.index_kind(),
         }
-    }
-
-    /// Overrides which spatial index serves the evaluations (the results are identical for
-    /// every choice).
-    pub fn with_index_kind(mut self, kind: surf_data::index::IndexKind) -> Self {
-        self.index_kind = kind;
-        self
     }
 
     /// The statistic this surrogate evaluates.
@@ -89,8 +79,7 @@ impl<'a> TrueFunctionSurrogate<'a> {
 impl Surrogate for TrueFunctionSurrogate<'_> {
     fn predict(&self, region: &Region) -> f64 {
         self.statistic
-            .evaluate_with(self.dataset, region, self.index_kind)
-            .map(|value| value.unwrap_or(self.empty_value))
+            .evaluate_or(self.dataset, region, self.empty_value)
             .unwrap_or(self.empty_value)
     }
 
@@ -108,7 +97,7 @@ impl Surrogate for TrueFunctionSurrogate<'_> {
 ///
 /// Construction compiles the fitted walker into a [`CompiledEnsemble`] once — both
 /// `Surf::fit` and `Surf::from_state` go through [`GbrtSurrogate::from_model`], so every
-/// serving path (single predictions, batched `/predict`, GSO/PSO mining) runs on the
+/// serving path (single predictions, batched `/predict`, GSO mining) runs on the
 /// compiled form, bit-identical to the walker for every input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GbrtSurrogate {
@@ -196,53 +185,6 @@ impl Surrogate for GbrtSurrogate {
             out.fill(f64::NAN);
         }
         out
-    }
-
-    fn dimensions(&self) -> usize {
-        self.dimensions
-    }
-}
-
-/// An alternative learned surrogate backed by ridge regression with polynomial features — the
-/// "alternative ML model" the paper's footnote 2 allows. Cheaper to train and evaluate than
-/// the boosted ensemble, but noticeably less accurate on sharply localized statistics; the
-/// surrogate-ablation benches quantify the gap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RidgeSurrogate {
-    model: surf_ml::linear::RidgeRegression,
-    dimensions: usize,
-}
-
-impl RidgeSurrogate {
-    /// Trains a ridge surrogate directly from a past-query workload.
-    pub fn train(
-        workload: &Workload,
-        params: &surf_ml::linear::RidgeParams,
-    ) -> Result<Self, SurfError> {
-        if workload.is_empty() {
-            return Err(SurfError::InvalidConfig(
-                "cannot train a surrogate on an empty workload".into(),
-            ));
-        }
-        let (features, targets) = workload.to_xy();
-        let model = surf_ml::linear::RidgeRegression::fit(&features, &targets, params)?;
-        Ok(Self {
-            model,
-            dimensions: workload.dimensions(),
-        })
-    }
-
-    /// The underlying ridge model.
-    pub fn model(&self) -> &surf_ml::linear::RidgeRegression {
-        &self.model
-    }
-}
-
-impl Surrogate for RidgeSurrogate {
-    fn predict(&self, region: &Region) -> f64 {
-        self.model
-            .predict_one(&region.to_solution_vector())
-            .unwrap_or(f64::NAN)
     }
 
     fn dimensions(&self) -> usize {
@@ -520,32 +462,5 @@ mod tests {
             evaluations: vec![],
         };
         assert!(SurrogateTrainer::quick().train(&workload).is_err());
-        assert!(
-            RidgeSurrogate::train(&workload, &surf_ml::linear::RidgeParams::default()).is_err()
-        );
-    }
-
-    #[test]
-    fn ridge_surrogate_tracks_the_density_trend_but_less_sharply_than_gbrt() {
-        let (synthetic, workload) = density_setup();
-        let ridge =
-            RidgeSurrogate::train(&workload, &surf_ml::linear::RidgeParams::default()).unwrap();
-        assert_eq!(ridge.dimensions(), 2);
-        assert!(!ridge.touches_data());
-
-        let gt = &synthetic.ground_truth[0];
-        let corner = Region::new(vec![0.02, 0.02], vec![0.01, 0.01]).unwrap();
-        // Even the linear surrogate should rank the dense region above an empty corner.
-        assert!(ridge.predict(gt) > ridge.predict(&corner));
-
-        // The boosted surrogate approximates the true count of the dense region more closely.
-        let (gbrt, _) = SurrogateTrainer::quick().train(&workload).unwrap();
-        let truth = synthetic.dataset.count_in(gt).unwrap() as f64;
-        let gbrt_error = (gbrt.predict(gt) - truth).abs();
-        let ridge_error = (ridge.predict(gt) - truth).abs();
-        assert!(
-            gbrt_error <= ridge_error * 1.5,
-            "gbrt error {gbrt_error} vs ridge error {ridge_error}"
-        );
     }
 }

@@ -12,32 +12,25 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DataError;
-use crate::index::{GridIndex, IndexKind, KdTreeIndex, RegionIndex};
+use crate::index::{GridIndex, IndexKind};
 use crate::random::shuffled_indices;
 use crate::region::Region;
 use crate::schema::Schema;
 use crate::vector::DataVector;
 
-/// Lazily-built spatial indexes of a dataset, shared between clones.
+/// The lazily-built grid index of a dataset, shared between clones.
 ///
-/// The slots live behind an `Arc` so that *every* clone of a dataset — including clones made
-/// before any index is built — shares one cache: whichever handle builds first, all see the
-/// result. The cache is invisible to equality, serialization and debugging: two datasets
-/// holding the same rows are equal whether or not their indexes have been built yet.
+/// The slot lives behind an `Arc` so that *every* clone of a dataset — including clones made
+/// before the index is built — shares one cache: whichever handle builds first, all see the
+/// result. The cache is invisible to equality and serialization: two datasets holding the
+/// same rows are equal whether or not their index has been built yet.
 #[derive(Clone, Default)]
-struct IndexCache(Arc<IndexCacheSlots>);
-
-#[derive(Default)]
-struct IndexCacheSlots {
-    grid: OnceLock<Arc<GridIndex>>,
-    kd: OnceLock<Arc<KdTreeIndex>>,
-}
+struct IndexCache(Arc<OnceLock<Arc<GridIndex>>>);
 
 impl fmt::Debug for IndexCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("IndexCache")
-            .field("grid_built", &self.0.grid.get().is_some())
-            .field("kd_built", &self.0.kd.get().is_some())
+            .field("grid_built", &self.0.get().is_some())
             .finish()
     }
 }
@@ -48,7 +41,7 @@ impl Serialize for IndexCache {
     }
 }
 
-/// Deserializes to an empty cache: indexes are derived data and are rebuilt lazily.
+/// Deserializes to an empty cache: the index is derived data and is rebuilt lazily.
 impl Deserialize for IndexCache {
     fn deserialize(_: &serde::Value) -> Result<Self, serde::DeError> {
         Ok(IndexCache::default())
@@ -68,8 +61,9 @@ pub struct Dataset {
 }
 
 /// Equality covers the data itself (schema, columns, labels, measure) — not the index
-/// configuration or cache: evaluation results are identical for every index kind, so two
-/// datasets holding the same rows compare equal regardless of indexing.
+/// configuration or cache: the index kind changes how a statistic is computed, not which
+/// rows it covers, so two datasets holding the same rows compare equal regardless of
+/// indexing.
 impl PartialEq for Dataset {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -183,51 +177,40 @@ impl Dataset {
         Ok(self)
     }
 
-    /// Sets the default spatial index consulted by [`crate::statistic::Statistic::evaluate`]
-    /// and [`Dataset::count_in`] (see [`crate::index`]). The default is [`IndexKind::Grid`];
-    /// [`IndexKind::Scan`] disables indexing entirely. Indexes are built lazily on first use
-    /// and cached (clones share the cache).
+    /// Sets the spatial index consulted by [`crate::statistic::Statistic::evaluate`],
+    /// [`Dataset::count_in`] and everything built on them (see [`crate::index`]). The default
+    /// is [`IndexKind::Grid`]; [`IndexKind::Scan`] disables indexing entirely. The grid is
+    /// built lazily on first use and cached (clones share the cache).
     pub fn with_index_kind(mut self, kind: IndexKind) -> Self {
         self.index_kind = kind;
         self
     }
 
-    /// The default index kind of this dataset.
+    /// The index kind of this dataset.
     pub fn index_kind(&self) -> IndexKind {
         self.index_kind
     }
 
-    /// Lazily builds (and caches) the spatial index of the given kind. Returns `None` for
+    /// Lazily builds (and caches) the grid index for [`IndexKind::Grid`]; returns `None` for
     /// [`IndexKind::Scan`]. Safe to call concurrently: the first caller builds, the rest
     /// share the cached handle.
-    pub fn region_index(&self, kind: IndexKind) -> Option<Arc<dyn RegionIndex>> {
+    pub fn region_index(&self, kind: IndexKind) -> Option<Arc<GridIndex>> {
         match kind {
             IndexKind::Scan => None,
-            IndexKind::Grid => {
-                let grid = self
-                    .index_cache
+            IndexKind::Grid => Some(Arc::clone(
+                self.index_cache
                     .0
-                    .grid
-                    .get_or_init(|| Arc::new(GridIndex::build(self)));
-                Some(Arc::clone(grid) as Arc<dyn RegionIndex>)
-            }
-            IndexKind::KdTree => {
-                let kd = self
-                    .index_cache
-                    .0
-                    .kd
-                    .get_or_init(|| Arc::new(KdTreeIndex::build(self)));
-                Some(Arc::clone(kd) as Arc<dyn RegionIndex>)
-            }
+                    .get_or_init(|| Arc::new(GridIndex::build(self))),
+            )),
         }
     }
 
-    /// The dataset's default spatial index (per [`Dataset::index_kind`]), built lazily.
-    pub fn default_region_index(&self) -> Option<Arc<dyn RegionIndex>> {
+    /// The dataset's spatial index (per [`Dataset::index_kind`]), built lazily.
+    pub fn default_region_index(&self) -> Option<Arc<GridIndex>> {
         self.region_index(self.index_kind)
     }
 
-    /// Raw column storage, for the index builders of [`crate::index`].
+    /// Raw column storage, for the grid builder of [`crate::index`].
     pub(crate) fn raw_columns(&self) -> &[Vec<f64>] {
         &self.columns
     }
@@ -373,7 +356,7 @@ impl Dataset {
 
     /// Calls `f` with the index of every row inside the region (ascending row order), using
     /// [`crate::index::row_in_region`] — the exact inclusive-bounds predicate shared with
-    /// the boundary-cell filters of the spatial indexes. Streams — no intermediate index
+    /// the grid's boundary-cell filter. Streams — no intermediate index
     /// vector is allocated.
     pub(crate) fn for_each_row_in(
         &self,
@@ -593,7 +576,7 @@ mod tests {
     #[test]
     fn count_in_uses_every_index_kind_consistently() {
         let region = Region::from_bounds(&[0.0, 0.0], &[0.6, 0.6]).unwrap();
-        for kind in [IndexKind::Scan, IndexKind::Grid, IndexKind::KdTree] {
+        for kind in [IndexKind::Scan, IndexKind::Grid] {
             let d = toy().with_index_kind(kind);
             assert_eq!(d.index_kind(), kind);
             assert_eq!(d.count_in(&region).unwrap(), 2, "kind {kind:?}");

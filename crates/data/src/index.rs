@@ -1,28 +1,24 @@
-//! Spatial indexes making region-statistic evaluation sublinear in the dataset size.
+//! The spatial index making region-statistic evaluation sublinear in the dataset size.
 //!
 //! The ground-truth path of the reproduction — [`crate::statistic::Statistic::evaluate`] —
 //! originally paid a full `O(N·d)` column scan per region. Workload generation, the Naive and
 //! PRIM baselines, accuracy scoring and the comparison harness issue thousands of such
-//! evaluations, so this module provides a [`RegionIndex`] abstraction with two
-//! implementations:
+//! evaluations, so this module provides [`GridIndex`]: a uniform grid whose every cell stores
+//! its row list **and** precomputed aggregate summaries (row count, per-label counts,
+//! per-column count / sum / centered second moment / min / max), so cells fully covered by a
+//! query region answer Count / Ratio / Sum / Average / Min / Max / Variance without touching a
+//! single row.
 //!
-//! * [`GridIndex`] — a uniform grid. Every cell stores its row list **and** precomputed
-//!   aggregate summaries (row count, per-label counts, per-column count / sum / centered
-//!   second moment / min / max), so cells fully covered by a query region answer Count / Ratio / Sum /
-//!   Average / Min / Max / Variance without touching a single row.
-//! * [`KdTreeIndex`] — a k-d tree with bounding-box pruning, storing the same summaries per
-//!   node. It adapts to skewed data where a uniform grid degenerates (most points in few
-//!   cells).
+//! Only *partially* covered cells fall back to streaming per-row filters, using the **exact
+//! same inclusive-bounds predicate** as the scan path, and full coverage is decided against the
+//! cell's *data-derived* bounding box (the per-column min/max of the points it actually holds)
+//! rather than its geometric edges. Count-like statistics are therefore bit-identical to the
+//! scan path; sum-like aggregates differ only by floating-point re-association (≲ 1e-12
+//! relative — see the `index_equivalence` property tests).
 //!
-//! Only *partially* covered cells/leaves fall back to streaming per-row filters, using the
-//! **exact same inclusive-bounds predicate** as the scan path, and full coverage is decided
-//! against the cell's *data-derived* bounding box (the per-column min/max of the points it
-//! actually holds) rather than its geometric edges. Count-like statistics are therefore
-//! bit-identical to the scan path; sum-like aggregates differ only by floating-point
-//! re-association (≲ 1e-12 relative — see the `index_equivalence` property tests).
-//!
-//! Indexes never allocate per-row scratch vectors at query time: counting and moment queries
-//! stream, and only `values_in` (used by the non-decomposable MEDIAN) materializes values.
+//! The index never allocates per-row scratch vectors at query time: counting and moment
+//! queries stream, and only `values_in` (used by the non-decomposable MEDIAN) materializes
+//! values.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,11 +32,9 @@ use crate::statistic::Target;
 pub enum IndexKind {
     /// No index: always run the streaming column scan (the original behaviour).
     Scan,
-    /// Uniform grid with per-cell aggregate summaries (best for roughly uniform data).
+    /// Uniform grid with per-cell aggregate summaries ([`GridIndex`]).
     #[default]
     Grid,
-    /// k-d tree with bounding-box pruning (best for skewed/clustered data).
-    KdTree,
 }
 
 impl IndexKind {
@@ -49,12 +43,11 @@ impl IndexKind {
         match self {
             IndexKind::Scan => "scan",
             IndexKind::Grid => "grid",
-            IndexKind::KdTree => "kd",
         }
     }
 }
 
-/// Precomputed aggregate of one column over one cell/node: count, sum, *centered* second
+/// Precomputed aggregate of one column over one grid cell: count, sum, *centered* second
 /// moment and extrema.
 ///
 /// The second moment is kept centered (`m2 = Σ (v − mean)²`, maintained with Welford's
@@ -128,56 +121,6 @@ impl ColumnMoments {
 /// [`ColumnMoments`], accumulated across fully covered cells and boundary rows.
 pub type Aggregates = ColumnMoments;
 
-/// A spatial index over one immutable dataset, answering region-statistic primitives without
-/// a full scan.
-///
-/// All query methods take the owning [`Dataset`] so that boundary cells can stream the raw
-/// column values; an index must only ever be queried with the dataset it was built from
-/// (the per-dataset cache in [`Dataset::region_index`] guarantees this). `ignored` excludes
-/// one dimension from the region membership test (Definition 2's aggregate-statistic
-/// variant). Callers are expected to have validated region dimensionality, the ignored
-/// dimension and label/measure presence.
-pub trait RegionIndex: Send + Sync {
-    /// Which index family this is.
-    fn kind(&self) -> IndexKind;
-
-    /// Number of rows the index was built over.
-    fn rows(&self) -> usize;
-
-    /// Number of rows inside the region (bit-identical to the scan path).
-    fn count(&self, dataset: &Dataset, region: &Region, ignored: Option<usize>) -> usize;
-
-    /// `(matching, total)` rows inside the region, where `matching` carries the given label.
-    /// With no label column attached, `matching` is 0.
-    fn label_count(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        label: u32,
-    ) -> (usize, usize);
-
-    /// Count, sum, centered second moment and extrema of the target column over the region.
-    fn moments(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-    ) -> Result<Aggregates, DataError>;
-
-    /// Appends the target values of every row inside the region to `out` (row order is
-    /// unspecified; the only consumer, MEDIAN, sorts anyway).
-    fn values_in(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DataError>;
-}
-
 /// Resolves an aggregation target to a column slice of the dataset.
 fn target_column(dataset: &Dataset, target: Target) -> Result<&[f64], DataError> {
     match target {
@@ -195,8 +138,8 @@ fn target_slot(dims: usize, target: Target) -> usize {
 }
 
 /// The exact row-membership predicate shared by the scan path
-/// (`Dataset::for_each_row_in`) and the boundary-cell filters of both indexes — a single
-/// definition so the bit-identical-to-scan guarantee cannot drift. Written as
+/// (`Dataset::for_each_row_in`) and the grid's boundary-cell filter — a single definition so
+/// the bit-identical-to-scan guarantee cannot drift. Written as
 /// `lower ≤ v ∧ v ≤ upper` so NaN bounds or values exclude the row.
 #[inline]
 pub(crate) fn row_in_region(
@@ -218,12 +161,12 @@ pub(crate) fn row_in_region(
     true
 }
 
-/// One step of an index traversal: either a fully covered cell/node (consume its summary)
-/// or a single boundary row that passed the exact membership predicate.
-enum Visit<'a, S> {
-    /// A fully covered, non-empty cell/node.
-    Full(&'a S),
-    /// One surviving row of a partially covered cell/node.
+/// One step of a grid traversal: either a fully covered cell (consume its summary) or a
+/// single boundary row that passed the exact membership predicate.
+enum Visit<'a> {
+    /// A fully covered, non-empty cell.
+    Full(&'a CellSummary),
+    /// One surviving row of a partially covered cell.
     Row(usize),
 }
 
@@ -240,11 +183,7 @@ fn label_slots(dataset: &Dataset) -> Vec<u32> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Grid index
-// ---------------------------------------------------------------------------
-
-/// Per-cell (or per-node) aggregate summary: row list, label histogram and column moments.
+/// Per-cell aggregate summary: row list, label histogram and column moments.
 #[derive(Debug, Clone, Default)]
 struct CellSummary {
     /// Rows assigned to the cell, in ascending row order.
@@ -291,6 +230,13 @@ impl CellSummary {
 ///
 /// Cell resolution is chosen automatically from `N` and `d` (targeting ~16 rows per cell,
 /// capped at 64 bins per dimension and 65 536 cells overall).
+///
+/// All query methods take the owning [`Dataset`] so that boundary cells can stream the raw
+/// column values; the index must only ever be queried with the dataset it was built from
+/// (the per-dataset cache in [`Dataset::region_index`] guarantees this). `ignored` excludes
+/// one dimension from the region membership test (Definition 2's aggregate-statistic
+/// variant). Callers are expected to have validated region dimensionality, the ignored
+/// dimension and label/measure presence.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     dims: usize,
@@ -407,6 +353,90 @@ impl GridIndex {
         self.cells.len()
     }
 
+    /// Number of rows the index was built over.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of rows inside the region (bit-identical to the scan path).
+    pub fn count(&self, dataset: &Dataset, region: &Region, ignored: Option<usize>) -> usize {
+        let (lower, upper) = (region.lower(), region.upper());
+        let mut count = 0usize;
+        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
+            Visit::Full(cell) => count += cell.rows.len(),
+            Visit::Row(_) => count += 1,
+        });
+        count
+    }
+
+    /// `(matching, total)` rows inside the region, where `matching` carries the given label.
+    /// With no label column attached, `matching` is 0.
+    pub fn label_count(
+        &self,
+        dataset: &Dataset,
+        region: &Region,
+        ignored: Option<usize>,
+        label: u32,
+    ) -> (usize, usize) {
+        let (lower, upper) = (region.lower(), region.upper());
+        let slot = self.label_slots.binary_search(&label).ok();
+        let labels = dataset.labels();
+        let (mut matching, mut total) = (0usize, 0usize);
+        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
+            Visit::Full(cell) => {
+                total += cell.rows.len();
+                if let Some(slot) = slot {
+                    matching += cell.label_counts[slot] as usize;
+                }
+            }
+            Visit::Row(row) => {
+                total += 1;
+                if labels.map(|l| l[row] == label).unwrap_or(false) {
+                    matching += 1;
+                }
+            }
+        });
+        (matching, total)
+    }
+
+    /// Count, sum, centered second moment and extrema of the target column over the region.
+    pub fn moments(
+        &self,
+        dataset: &Dataset,
+        region: &Region,
+        ignored: Option<usize>,
+        target: Target,
+    ) -> Result<Aggregates, DataError> {
+        let values = target_column(dataset, target)?;
+        let slot = target_slot(self.dims, target);
+        let (lower, upper) = (region.lower(), region.upper());
+        let mut agg = Aggregates::default();
+        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
+            Visit::Full(cell) => agg.merge(&cell.moments[slot]),
+            Visit::Row(row) => agg.add(values[row]),
+        });
+        Ok(agg)
+    }
+
+    /// Appends the target values of every row inside the region to `out` (row order is
+    /// unspecified; the only consumer, MEDIAN, sorts anyway).
+    pub fn values_in(
+        &self,
+        dataset: &Dataset,
+        region: &Region,
+        ignored: Option<usize>,
+        target: Target,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DataError> {
+        let values = target_column(dataset, target)?;
+        let (lower, upper) = (region.lower(), region.upper());
+        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
+            Visit::Full(cell) => out.extend(cell.rows.iter().map(|&row| values[row as usize])),
+            Visit::Row(row) => out.push(values[row]),
+        });
+        Ok(())
+    }
+
     /// Visits every cell overlapping the query box: fully covered, non-empty cells are
     /// reported as [`Visit::Full`], rows of partially covered cells are filtered with the
     /// exact scan predicate and surviving rows reported as [`Visit::Row`].
@@ -418,7 +448,7 @@ impl GridIndex {
         ignored: Option<usize>,
         mut f: F,
     ) where
-        F: FnMut(Visit<'_, CellSummary>),
+        F: FnMut(Visit<'_>),
     {
         if self.rows == 0 {
             return;
@@ -483,358 +513,6 @@ impl GridIndex {
     }
 }
 
-impl RegionIndex for GridIndex {
-    fn kind(&self) -> IndexKind {
-        IndexKind::Grid
-    }
-
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn count(&self, dataset: &Dataset, region: &Region, ignored: Option<usize>) -> usize {
-        let (lower, upper) = (region.lower(), region.upper());
-        let mut count = 0usize;
-        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
-            Visit::Full(cell) => count += cell.rows.len(),
-            Visit::Row(_) => count += 1,
-        });
-        count
-    }
-
-    fn label_count(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        label: u32,
-    ) -> (usize, usize) {
-        let (lower, upper) = (region.lower(), region.upper());
-        let slot = self.label_slots.binary_search(&label).ok();
-        let labels = dataset.labels();
-        let (mut matching, mut total) = (0usize, 0usize);
-        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
-            Visit::Full(cell) => {
-                total += cell.rows.len();
-                if let Some(slot) = slot {
-                    matching += cell.label_counts[slot] as usize;
-                }
-            }
-            Visit::Row(row) => {
-                total += 1;
-                if labels.map(|l| l[row] == label).unwrap_or(false) {
-                    matching += 1;
-                }
-            }
-        });
-        (matching, total)
-    }
-
-    fn moments(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-    ) -> Result<Aggregates, DataError> {
-        let values = target_column(dataset, target)?;
-        let slot = target_slot(self.dims, target);
-        let (lower, upper) = (region.lower(), region.upper());
-        let mut agg = Aggregates::default();
-        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
-            Visit::Full(cell) => agg.merge(&cell.moments[slot]),
-            Visit::Row(row) => agg.add(values[row]),
-        });
-        Ok(agg)
-    }
-
-    fn values_in(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DataError> {
-        let values = target_column(dataset, target)?;
-        let (lower, upper) = (region.lower(), region.upper());
-        self.visit(dataset, &lower, &upper, ignored, |visit| match visit {
-            Visit::Full(cell) => out.extend(cell.rows.iter().map(|&row| values[row as usize])),
-            Visit::Row(row) => out.push(values[row]),
-        });
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// k-d tree index
-// ---------------------------------------------------------------------------
-
-/// One node of the k-d tree: a contiguous range of `row_ids` plus its aggregate summary.
-#[derive(Debug, Clone)]
-struct KdNode {
-    start: usize,
-    end: usize,
-    /// Child node ids; `usize::MAX` marks a leaf.
-    left: usize,
-    right: usize,
-    label_counts: Vec<u32>,
-    /// Data dimensions first, then the measure when present; the per-dimension min/max
-    /// double as the node's exact bounding box for pruning and full-coverage tests.
-    moments: Vec<ColumnMoments>,
-    /// Whether any row carries a NaN coordinate (invisible to the bounding box); such nodes
-    /// are never classified fully covered, so their rows go through the exact streamed
-    /// predicate, which excludes NaN rows just like the scan.
-    has_nan_coordinate: bool,
-}
-
-const KD_NO_CHILD: usize = usize::MAX;
-
-/// A k-d tree over the dataset rows with per-node aggregate summaries and bounding-box
-/// pruning. Splits the widest dimension at the median until ≤ 64 rows remain per leaf.
-#[derive(Debug, Clone)]
-pub struct KdTreeIndex {
-    dims: usize,
-    rows: usize,
-    row_ids: Vec<u32>,
-    nodes: Vec<KdNode>,
-    label_slots: Vec<u32>,
-}
-
-impl KdTreeIndex {
-    /// Rows per leaf below which splitting stops.
-    const LEAF_SIZE: usize = 64;
-
-    /// Builds a k-d tree index over the dataset.
-    pub fn build(dataset: &Dataset) -> Self {
-        let dims = dataset.dimensions();
-        let rows = dataset.len();
-        let mut index = Self {
-            dims,
-            rows,
-            row_ids: (0..rows as u32).collect(),
-            nodes: Vec::new(),
-            label_slots: label_slots(dataset),
-        };
-        if rows > 0 {
-            index.build_node(dataset, 0, rows);
-        }
-        index
-    }
-
-    /// Number of tree nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Builds the node covering `row_ids[start..end]` and returns its id.
-    fn build_node(&mut self, dataset: &Dataset, start: usize, end: usize) -> usize {
-        let columns = dataset.raw_columns();
-        let labels = dataset.labels();
-        let measure = dataset.measure();
-        let cols = self.dims + usize::from(measure.is_some());
-
-        let mut label_counts = vec![0u32; self.label_slots.len()];
-        let mut moments = vec![ColumnMoments::default(); cols];
-        let mut has_nan_coordinate = false;
-        for &row in &self.row_ids[start..end] {
-            let row = row as usize;
-            for (k, column) in columns.iter().enumerate() {
-                moments[k].add(column[row]);
-                has_nan_coordinate |= column[row].is_nan();
-            }
-            if let Some(measure) = measure {
-                moments[self.dims].add(measure[row]);
-            }
-            if let Some(labels) = labels {
-                let slot = self
-                    .label_slots
-                    .binary_search(&labels[row])
-                    .expect("every label is in the slot table");
-                label_counts[slot] += 1;
-            }
-        }
-
-        // Split the widest dimension; a non-positive extent means all points coincide.
-        let (split_dim, extent) = (0..self.dims)
-            .map(|k| (k, moments[k].max - moments[k].min))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .unwrap_or((0, 0.0));
-
-        let id = self.nodes.len();
-        self.nodes.push(KdNode {
-            start,
-            end,
-            left: KD_NO_CHILD,
-            right: KD_NO_CHILD,
-            label_counts,
-            moments,
-            has_nan_coordinate,
-        });
-
-        let len = end - start;
-        if len > Self::LEAF_SIZE && extent > 0.0 {
-            let mid = len / 2;
-            let column = &columns[split_dim];
-            self.row_ids[start..end].select_nth_unstable_by(mid, |&a, &b| {
-                column[a as usize]
-                    .partial_cmp(&column[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let left = self.build_node(dataset, start, start + mid);
-            let right = self.build_node(dataset, start + mid, end);
-            self.nodes[id].left = left;
-            self.nodes[id].right = right;
-        }
-        id
-    }
-
-    /// Recursively visits the tree: disjoint nodes are pruned, fully covered nodes are
-    /// reported as [`Visit::Full`], and leaf rows of partially covered nodes are filtered
-    /// with the exact scan predicate into [`Visit::Row`].
-    fn visit<F>(
-        &self,
-        node_id: usize,
-        columns: &[Vec<f64>],
-        lower: &[f64],
-        upper: &[f64],
-        ignored: Option<usize>,
-        f: &mut F,
-    ) where
-        F: FnMut(Visit<'_, KdNode>),
-    {
-        let node = &self.nodes[node_id];
-        let mut full = !node.has_nan_coordinate;
-        for k in 0..self.dims {
-            if Some(k) == ignored {
-                continue;
-            }
-            let m = &node.moments[k];
-            if m.min > upper[k] || m.max < lower[k] {
-                return; // Bounding box disjoint from the query: prune the subtree.
-            }
-            if !(lower[k] <= m.min && m.max <= upper[k]) {
-                full = false;
-            }
-        }
-        if full {
-            f(Visit::Full(node));
-            return;
-        }
-        if node.left == KD_NO_CHILD {
-            for &row in &self.row_ids[node.start..node.end] {
-                let row = row as usize;
-                if row_in_region(columns, row, lower, upper, ignored) {
-                    f(Visit::Row(row));
-                }
-            }
-            return;
-        }
-        let (left, right) = (node.left, node.right);
-        self.visit(left, columns, lower, upper, ignored, f);
-        self.visit(right, columns, lower, upper, ignored, f);
-    }
-
-    fn query<F>(&self, dataset: &Dataset, region: &Region, ignored: Option<usize>, mut f: F)
-    where
-        F: FnMut(Visit<'_, KdNode>),
-    {
-        if self.rows == 0 {
-            return;
-        }
-        let (lower, upper) = (region.lower(), region.upper());
-        // NaN query bounds exclude every row under the scan predicate; the pruning tests
-        // below would mis-classify them, so bail out up front exactly like the scan.
-        if lower.iter().chain(upper.iter()).any(|b| b.is_nan()) {
-            return;
-        }
-        self.visit(0, dataset.raw_columns(), &lower, &upper, ignored, &mut f);
-    }
-}
-
-impl RegionIndex for KdTreeIndex {
-    fn kind(&self) -> IndexKind {
-        IndexKind::KdTree
-    }
-
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn count(&self, dataset: &Dataset, region: &Region, ignored: Option<usize>) -> usize {
-        let mut count = 0usize;
-        self.query(dataset, region, ignored, |visit| match visit {
-            Visit::Full(node) => count += node.end - node.start,
-            Visit::Row(_) => count += 1,
-        });
-        count
-    }
-
-    fn label_count(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        label: u32,
-    ) -> (usize, usize) {
-        let slot = self.label_slots.binary_search(&label).ok();
-        let labels = dataset.labels();
-        let (mut matching, mut total) = (0usize, 0usize);
-        self.query(dataset, region, ignored, |visit| match visit {
-            Visit::Full(node) => {
-                total += node.end - node.start;
-                if let Some(slot) = slot {
-                    matching += node.label_counts[slot] as usize;
-                }
-            }
-            Visit::Row(row) => {
-                total += 1;
-                if labels.map(|l| l[row] == label).unwrap_or(false) {
-                    matching += 1;
-                }
-            }
-        });
-        (matching, total)
-    }
-
-    fn moments(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-    ) -> Result<Aggregates, DataError> {
-        let values = target_column(dataset, target)?;
-        let slot = target_slot(self.dims, target);
-        let mut agg = Aggregates::default();
-        self.query(dataset, region, ignored, |visit| match visit {
-            Visit::Full(node) => agg.merge(&node.moments[slot]),
-            Visit::Row(row) => agg.add(values[row]),
-        });
-        Ok(agg)
-    }
-
-    fn values_in(
-        &self,
-        dataset: &Dataset,
-        region: &Region,
-        ignored: Option<usize>,
-        target: Target,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DataError> {
-        let values = target_column(dataset, target)?;
-        self.query(dataset, region, ignored, |visit| match visit {
-            Visit::Full(node) => out.extend(
-                self.row_ids[node.start..node.end]
-                    .iter()
-                    .map(|&row| values[row as usize]),
-            ),
-            Visit::Row(row) => out.push(values[row]),
-        });
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,30 +542,17 @@ mod tests {
         ]
     }
 
-    fn indexes(dataset: &Dataset) -> Vec<Box<dyn RegionIndex>> {
-        vec![
-            Box::new(GridIndex::build(dataset)),
-            Box::new(KdTreeIndex::build(dataset)),
-        ]
-    }
-
     #[test]
     fn count_matches_the_scan_exactly() {
         let dataset = labeled_dataset();
-        for index in indexes(&dataset) {
-            assert_eq!(index.rows(), dataset.len());
-            for region in probe_regions() {
-                let expected = dataset.indices_in(&region).unwrap().len();
-                assert_eq!(
-                    index.count(&dataset, &region, None),
-                    expected,
-                    "{} count mismatch",
-                    index.kind().name()
-                );
-                for ignored in 0..2 {
-                    let expected = dataset.indices_in_ignoring(&region, ignored).unwrap().len();
-                    assert_eq!(index.count(&dataset, &region, Some(ignored)), expected);
-                }
+        let index = GridIndex::build(&dataset);
+        assert_eq!(index.rows(), dataset.len());
+        for region in probe_regions() {
+            let expected = dataset.indices_in(&region).unwrap().len();
+            assert_eq!(index.count(&dataset, &region, None), expected);
+            for ignored in 0..2 {
+                let expected = dataset.indices_in_ignoring(&region, ignored).unwrap().len();
+                assert_eq!(index.count(&dataset, &region, Some(ignored)), expected);
             }
         }
     }
@@ -896,15 +561,14 @@ mod tests {
     fn label_count_matches_the_scan_exactly() {
         let dataset = labeled_dataset();
         let labels = dataset.labels().unwrap().to_vec();
-        for index in indexes(&dataset) {
-            for region in probe_regions() {
-                for label in [0u32, 2, 99] {
-                    let inside = dataset.indices_in(&region).unwrap();
-                    let expected_matching = inside.iter().filter(|&&i| labels[i] == label).count();
-                    let (matching, total) = index.label_count(&dataset, &region, None, label);
-                    assert_eq!(total, inside.len());
-                    assert_eq!(matching, expected_matching);
-                }
+        let index = GridIndex::build(&dataset);
+        for region in probe_regions() {
+            for label in [0u32, 2, 99] {
+                let inside = dataset.indices_in(&region).unwrap();
+                let expected_matching = inside.iter().filter(|&&i| labels[i] == label).count();
+                let (matching, total) = index.label_count(&dataset, &region, None, label);
+                assert_eq!(total, inside.len());
+                assert_eq!(matching, expected_matching);
             }
         }
     }
@@ -913,27 +577,26 @@ mod tests {
     fn moments_match_the_scan_closely() {
         let dataset = labeled_dataset();
         let measure = dataset.measure().unwrap().to_vec();
-        for index in indexes(&dataset) {
-            for region in probe_regions() {
-                let inside = dataset.indices_in(&region).unwrap();
-                let agg = index
-                    .moments(&dataset, &region, None, Target::Measure)
-                    .unwrap();
-                assert_eq!(agg.count, inside.len());
-                let expected_sum: f64 = inside.iter().map(|&i| measure[i]).sum();
-                assert!((agg.sum - expected_sum).abs() <= 1e-9 * (1.0 + expected_sum.abs()));
-                if !inside.is_empty() {
-                    let expected_min = inside
-                        .iter()
-                        .map(|&i| measure[i])
-                        .fold(f64::INFINITY, f64::min);
-                    let expected_max = inside
-                        .iter()
-                        .map(|&i| measure[i])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    assert_eq!(agg.min, expected_min);
-                    assert_eq!(agg.max, expected_max);
-                }
+        let index = GridIndex::build(&dataset);
+        for region in probe_regions() {
+            let inside = dataset.indices_in(&region).unwrap();
+            let agg = index
+                .moments(&dataset, &region, None, Target::Measure)
+                .unwrap();
+            assert_eq!(agg.count, inside.len());
+            let expected_sum: f64 = inside.iter().map(|&i| measure[i]).sum();
+            assert!((agg.sum - expected_sum).abs() <= 1e-9 * (1.0 + expected_sum.abs()));
+            if !inside.is_empty() {
+                let expected_min = inside
+                    .iter()
+                    .map(|&i| measure[i])
+                    .fold(f64::INFINITY, f64::min);
+                let expected_max = inside
+                    .iter()
+                    .map(|&i| measure[i])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(agg.min, expected_min);
+                assert_eq!(agg.max, expected_max);
             }
         }
     }
@@ -941,21 +604,20 @@ mod tests {
     #[test]
     fn values_in_collects_the_same_multiset() {
         let dataset = labeled_dataset();
-        for index in indexes(&dataset) {
-            for region in probe_regions() {
-                let inside = dataset.indices_in(&region).unwrap();
-                let mut expected: Vec<f64> = inside
-                    .iter()
-                    .map(|&i| dataset.column(0).unwrap()[i])
-                    .collect();
-                let mut got = Vec::new();
-                index
-                    .values_in(&dataset, &region, None, Target::Dimension(0), &mut got)
-                    .unwrap();
-                expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                assert_eq!(got, expected);
-            }
+        let index = GridIndex::build(&dataset);
+        for region in probe_regions() {
+            let inside = dataset.indices_in(&region).unwrap();
+            let mut expected: Vec<f64> = inside
+                .iter()
+                .map(|&i| dataset.column(0).unwrap()[i])
+                .collect();
+            let mut got = Vec::new();
+            index
+                .values_in(&dataset, &region, None, Target::Dimension(0), &mut got)
+                .unwrap();
+            expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(got, expected);
         }
     }
 
@@ -963,14 +625,12 @@ mod tests {
     fn missing_measure_is_reported() {
         let dataset = Dataset::from_columns(vec![vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
         let region = Region::unit_cube(2);
-        for index in indexes(&dataset) {
-            assert_eq!(
-                index
-                    .moments(&dataset, &region, None, Target::Measure)
-                    .unwrap_err(),
-                DataError::MissingMeasure
-            );
-        }
+        assert_eq!(
+            GridIndex::build(&dataset)
+                .moments(&dataset, &region, None, Target::Measure)
+                .unwrap_err(),
+            DataError::MissingMeasure
+        );
     }
 
     #[test]
@@ -980,16 +640,16 @@ mod tests {
             Dataset::from_columns(vec![vec![0.5; 100], (0..100).map(|i| i as f64).collect()])
                 .unwrap();
         let region = Region::from_bounds(&[0.4, 10.0], &[0.6, 20.0]).unwrap();
-        for index in indexes(&constant) {
-            assert_eq!(index.count(&constant, &region, None), 11);
-        }
+        assert_eq!(
+            GridIndex::build(&constant).count(&constant, &region, None),
+            11
+        );
 
         // Empty dataset (zero rows).
         let empty = Dataset::from_columns(vec![Vec::new(), Vec::new()]).unwrap();
-        for index in indexes(&empty) {
-            assert_eq!(index.rows(), 0);
-            assert_eq!(index.count(&empty, &region, None), 0);
-        }
+        let index = GridIndex::build(&empty);
+        assert_eq!(index.rows(), 0);
+        assert_eq!(index.count(&empty, &region, None), 0);
     }
 
     #[test]
@@ -999,19 +659,14 @@ mod tests {
         let dataset = Dataset::from_columns(vec![vec![0.5, f64::NAN, 0.25, 0.75]]).unwrap();
         let region = Region::from_bounds(&[0.0], &[1.0]).unwrap();
         assert_eq!(dataset.indices_in(&region).unwrap().len(), 3);
-        for index in indexes(&dataset) {
-            assert_eq!(
-                index.count(&dataset, &region, None),
-                3,
-                "{} counts the NaN row",
-                index.kind().name()
-            );
-        }
+        assert_eq!(
+            GridIndex::build(&dataset).count(&dataset, &region, None),
+            3,
+            "the grid counts the NaN row"
+        );
         // A column that is entirely NaN matches nothing anywhere.
         let all_nan = Dataset::from_columns(vec![vec![f64::NAN; 4]]).unwrap();
-        for index in indexes(&all_nan) {
-            assert_eq!(index.count(&all_nan, &region, None), 0);
-        }
+        assert_eq!(GridIndex::build(&all_nan).count(&all_nan, &region, None), 0);
     }
 
     #[test]
@@ -1020,18 +675,14 @@ mod tests {
         assert_eq!(GridIndex::bins_per_dimension(100, 2), 2);
         assert!(GridIndex::bins_per_dimension(1_000_000, 2) <= 64);
         assert!(GridIndex::bins_per_dimension(1_000_000, 8) >= 2);
-        let dataset = labeled_dataset();
-        let grid = GridIndex::build(&dataset);
+        let grid = GridIndex::build(&labeled_dataset());
         assert!(grid.cell_count() > 1);
-        let kd = KdTreeIndex::build(&dataset);
-        assert!(kd.node_count() > 1);
     }
 
     #[test]
     fn index_kind_names() {
         assert_eq!(IndexKind::Scan.name(), "scan");
         assert_eq!(IndexKind::Grid.name(), "grid");
-        assert_eq!(IndexKind::KdTree.name(), "kd");
         assert_eq!(IndexKind::default(), IndexKind::Grid);
     }
 }

@@ -3,7 +3,7 @@
 //! Data substrate for the SuRF reproduction: multidimensional data vectors, an in-memory
 //! columnar [`dataset::Dataset`], hyper-rectangular [`region::Region`]s, the statistics
 //! engine that maps a region to a scalar statistic (Definition 2 of the paper) backed by the
-//! spatial indexes of [`index`] (uniform grid / k-d tree with per-cell summaries), synthetic
+//! spatial index of [`index`] (a uniform grid with per-cell summaries), synthetic
 //! ground-truth dataset generators (Section V-A), simulators standing in for the Crimes and
 //! Human-Activity real datasets (Section V-C), and the past-query workload generator used to
 //! train surrogate models (Section IV).
@@ -28,6 +28,6 @@ pub mod workload;
 
 pub use dataset::Dataset;
 pub use error::DataError;
-pub use index::{IndexKind, RegionIndex};
+pub use index::{GridIndex, IndexKind};
 pub use region::Region;
 pub use statistic::Statistic;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
-use crate::index::{IndexKind, RegionIndex};
+use crate::index::{GridIndex, IndexKind};
 use crate::region::Region;
 
 /// Which values a value-aggregating statistic operates on.
@@ -161,14 +161,14 @@ impl Statistic {
         }
     }
 
-    /// The index-accelerated evaluation path. Fully covered cells/nodes are answered from
+    /// The grid-accelerated evaluation path. Fully covered cells are answered from
     /// precomputed summaries; only boundary cells stream per-row filters. No intermediate
     /// index vector is allocated on the count/sum paths (MEDIAN materializes its values, as
     /// the scan path must too).
     fn evaluate_indexed(
         &self,
         dataset: &Dataset,
-        index: &dyn RegionIndex,
+        index: &GridIndex,
         region: &Region,
     ) -> Result<Option<f64>, DataError> {
         let ignored = self.ignored_dimension();
@@ -512,16 +512,16 @@ mod tests {
         for statistic in statistics {
             for region in &regions {
                 let scan = statistic.evaluate_scan(&d, region).unwrap();
-                for kind in [IndexKind::Grid, IndexKind::KdTree] {
-                    let indexed = statistic.evaluate_with(&d, region, kind).unwrap();
-                    match (scan, indexed) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => assert!(
-                            (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                            "{statistic:?} {kind:?}: scan {a} vs indexed {b}"
-                        ),
-                        other => panic!("{statistic:?} {kind:?}: definedness mismatch {other:?}"),
-                    }
+                let indexed = statistic
+                    .evaluate_with(&d, region, IndexKind::Grid)
+                    .unwrap();
+                match (scan, indexed) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => assert!(
+                        (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+                        "{statistic:?}: scan {a} vs indexed {b}"
+                    ),
+                    other => panic!("{statistic:?}: definedness mismatch {other:?}"),
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! * **density** GT regions — purposely denser in points than the background, evaluated with
 //!   the [`Statistic::Count`] statistic (the paper uses `y_R = 1000`), or
 //! * **aggregate** GT regions — regions whose points carry a higher *measure* value, evaluated
-//!   with [`Statistic::Average(Target::Measure)`] (the paper uses `y_R = 2`).
+//!   with [`Statistic::Average`] of [`Target::Measure`] (the paper uses `y_R = 2`).
 //!
 //! The paper's evaluation sweeps `d ∈ {1..5}`, `k ∈ {1, 3}` and dataset sizes of
 //! 7,500–12,500 points; [`SyntheticSpec::paper_suite`] reproduces that grid of 20 datasets.

@@ -1,14 +1,14 @@
 //! Property tests: for random datasets, regions and every `Statistic` variant, the
-//! index-accelerated evaluation agrees with the streaming scan path.
+//! grid-indexed evaluation agrees with the streaming scan path.
 //!
 //! Count-like statistics (Count, CountPerVolume, Ratio) and Min/Max/Median must be *exactly*
-//! equal — the indexes answer them from integer counts, data-derived extrema and identical
+//! equal — the grid answers them from integer counts, data-derived extrema and identical
 //! value multisets. Sum/Average/Variance combine per-cell partial sums, which re-associates
 //! floating-point additions; those are checked against a tight absolute+relative tolerance.
 //!
 //! Coordinates and region bounds are quantized to a 0.05 lattice so that region boundaries
 //! frequently coincide with data values, hammering the inclusive-bounds edge cases the grid
-//! and k-d tree must get bit-right.
+//! must get bit-right.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -95,24 +95,24 @@ fn must_be_exact(statistic: &Statistic) -> bool {
 
 fn check_agreement(dataset: &Dataset, region: &Region, statistic: Statistic) {
     let scan = statistic.evaluate_scan(dataset, region).unwrap();
-    for kind in [IndexKind::Grid, IndexKind::KdTree] {
-        let indexed = statistic.evaluate_with(dataset, region, kind).unwrap();
-        match (scan, indexed) {
-            (None, None) => {}
-            (Some(a), Some(b)) if must_be_exact(&statistic) => {
-                assert!(
-                    a == b || (a.is_nan() && b.is_nan()),
-                    "{statistic:?} via {kind:?}: scan {a} != indexed {b}"
-                );
-            }
-            (Some(a), Some(b)) => {
-                assert!(
-                    (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                    "{statistic:?} via {kind:?}: scan {a} vs indexed {b}"
-                );
-            }
-            other => panic!("{statistic:?} via {kind:?}: definedness mismatch {other:?}"),
+    let indexed = statistic
+        .evaluate_with(dataset, region, IndexKind::Grid)
+        .unwrap();
+    match (scan, indexed) {
+        (None, None) => {}
+        (Some(a), Some(b)) if must_be_exact(&statistic) => {
+            assert!(
+                a == b || (a.is_nan() && b.is_nan()),
+                "{statistic:?}: scan {a} != indexed {b}"
+            );
         }
+        (Some(a), Some(b)) => {
+            assert!(
+                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+                "{statistic:?}: scan {a} vs indexed {b}"
+            );
+        }
+        other => panic!("{statistic:?}: definedness mismatch {other:?}"),
     }
 }
 
@@ -137,7 +137,7 @@ proptest! {
         }
     }
 
-    /// `Dataset::count_in` agrees across all three index configurations, and with the
+    /// `Dataset::count_in` agrees across both index configurations, and with the
     /// materializing `indices_in` reference.
     #[test]
     fn count_in_is_index_invariant(
@@ -149,7 +149,7 @@ proptest! {
         let dataset = random_dataset(d, n, &mut rng);
         for region in random_regions(d, &mut rng) {
             let reference = dataset.indices_in(&region).unwrap().len();
-            for kind in [IndexKind::Scan, IndexKind::Grid, IndexKind::KdTree] {
+            for kind in [IndexKind::Scan, IndexKind::Grid] {
                 let dataset = dataset.clone().with_index_kind(kind);
                 prop_assert_eq!(dataset.count_in(&region).unwrap(), reference);
             }
@@ -178,23 +178,21 @@ proptest! {
         for region in random_regions(d, &mut rng) {
             let statistic = Statistic::Variance(Target::Measure);
             let scan = statistic.evaluate_scan(&dataset, &region).unwrap();
-            for kind in [IndexKind::Grid, IndexKind::KdTree] {
-                let indexed = statistic.evaluate_with(&dataset, &region, kind).unwrap();
-                match (scan, indexed) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => prop_assert!(
-                        (a - b).abs() <= 1e-6 * (1.0 + a.abs()),
-                        "variance via {:?}: scan {} vs indexed {} (offset {})",
-                        kind, a, b, offset
-                    ),
-                    other => panic!("variance via {kind:?}: definedness mismatch {other:?}"),
-                }
+            let indexed = statistic.evaluate_with(&dataset, &region, IndexKind::Grid).unwrap();
+            match (scan, indexed) {
+                (None, None) => {}
+                (Some(a), Some(b)) => prop_assert!(
+                    (a - b).abs() <= 1e-6 * (1.0 + a.abs()),
+                    "variance: scan {} vs indexed {} (offset {})",
+                    a, b, offset
+                ),
+                other => panic!("variance: definedness mismatch {other:?}"),
             }
         }
     }
 
-    /// Clustered (skewed) data: the regime the k-d tree exists for. Points concentrate in a
-    /// few tight blobs, so uniform grid cells are mostly empty while blob cells overflow.
+    /// Clustered (skewed) data, where a uniform grid degenerates: points concentrate in a few
+    /// tight blobs, so most grid cells are empty while the blob cells overflow.
     #[test]
     fn indexed_evaluation_equals_scan_on_skewed_data(
         d in 1usize..=3,

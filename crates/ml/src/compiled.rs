@@ -6,7 +6,7 @@
 //! on the split comparison. Split outcomes are close to random, so the branch predictor
 //! misses on roughly every other node, and the boosting walker
 //! ([`crate::gbrt::Gbrt::predict_one`]) pays that pipeline flush once per node per tree per
-//! example — the dominant cost of every GSO/PSO iteration and every serve-side prediction.
+//! example — the dominant cost of every GSO iteration and every serve-side prediction.
 //!
 //! [`CompiledEnsemble`] flattens a fitted ensemble once into a packed-node representation
 //! built for serving:

@@ -15,8 +15,6 @@
 //! * [`compiled`] — the inference engine: fitted ensembles flatten once into contiguous
 //!   packed-node arrays ([`CompiledEnsemble`]) with blocked, parallel batch prediction,
 //!   bit-identical to the node-walking predictors, which stay as its test oracle.
-//! * [`linear`] — ridge regression (the "alternative ML model" of the paper's footnote 2),
-//!   used by the surrogate-ablation benches.
 //! * [`kde`] — Gaussian kernel density estimation with box-probability queries (used to guide
 //!   glowworm movement, Eq. 8 of the paper).
 //! * [`cv`], [`grid`] — K-fold cross-validation and exhaustive grid search (the paper's
@@ -33,7 +31,6 @@ pub mod error;
 pub mod gbrt;
 pub mod grid;
 pub mod kde;
-pub mod linear;
 pub mod matrix;
 pub mod metrics;
 pub mod parallel;
@@ -43,5 +40,4 @@ pub use compiled::{CompiledEnsemble, InferenceEngine};
 pub use error::MlError;
 pub use gbrt::{Gbrt, GbrtParams};
 pub use kde::KernelDensity;
-pub use linear::{RidgeParams, RidgeRegression};
 pub use matrix::FeatureMatrix;

@@ -189,7 +189,7 @@ impl Poller {
 
     /// Blocks until at least one registered descriptor is ready, the timeout elapses
     /// (`Ok` with an empty `events`), or a registered [`Waker`] fires. Ready events are
-    /// appended to `events` after clearing it; at most [`WAIT_BATCH`] per call.
+    /// appended to `events` after clearing it; at most `WAIT_BATCH` per call.
     /// `None` blocks indefinitely. Interrupted waits (`EINTR`) are retried internally.
     ///
     /// # Errors

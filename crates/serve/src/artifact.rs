@@ -36,8 +36,10 @@ use crate::error::ServeError;
 /// `3` — `GbrtParams` gained the `colsample` per-tree feature-subsampling knob;
 /// `4` — `SurfConfig` gained the `inference_engine` knob selecting the batch-prediction
 /// engine; `5` — the compiled engine became the only one, so `inference_engine` accepts
-/// only `Compiled` (older artifacts are retrained, not migrated).
-pub const SCHEMA_VERSION: u64 = 5;
+/// only `Compiled` (older artifacts are retrained, not migrated); `6` — the k-d tree index
+/// was removed, so `SurfConfig::index_kind` accepts only `Scan` and `Grid` (an artifact
+/// naming `KdTree` is retrained, not migrated).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Descriptive metadata of a persisted surrogate, denormalized out of the fitted state so
 /// registries and `/models` listings can describe a model cheaply.

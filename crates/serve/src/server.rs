@@ -4,7 +4,7 @@
 //! connection over an epoll [`surf_reactor::Poller`] — non-blocking accept, read and
 //! write, HTTP/1.1 keep-alive and pipelining, idle timeouts, and admission control. Heavy
 //! routes (`POST /predict`, `POST /mine`) run on a handler pool fed through a bounded
-//! [`WorkQueue`]; see [`crate::event_loop`]. The pool sizes with the `workers` knob where
+//! `WorkQueue`; see the `event_loop` module. The pool sizes with the `workers` knob where
 //! `0` means "automatic" (available parallelism, capped at 8), resolved through
 //! [`surf_ml::parallel::resolve_threads`] — the same semantics as `SurfConfig::threads`.
 //!

@@ -119,7 +119,7 @@ proptest! {
         statistic_pick in 0usize..6,
         above in prop::bool::ANY,
         log_objective in prop::bool::ANY,
-        kind_pick in 0usize..3,
+        kind_pick in 0usize..2,
         seed in 0u64..10_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -138,7 +138,7 @@ proptest! {
             .objective(if log_objective { Objective::log(2.5) } else { Objective::ratio(1.5) })
             .training_queries(rng.random_range(1..5_000))
             .workload_coverage(0.02, rng.random_range(0.05..0.5))
-            .index_kind(match kind_pick { 0 => IndexKind::Grid, 1 => IndexKind::KdTree, _ => IndexKind::Scan })
+            .index_kind(match kind_pick { 0 => IndexKind::Grid, _ => IndexKind::Scan })
             .threads(rng.random_range(0..9))
             .seed(seed)
             .build();

@@ -67,7 +67,7 @@ pub mod prelude {
         activity::{Activity, ActivityDataset, ActivitySpec},
         crimes::{CrimesDataset, CrimesSpec},
         dataset::Dataset,
-        index::{IndexKind, RegionIndex},
+        index::IndexKind,
         iou::iou,
         region::Region,
         statistic::Statistic,

@@ -66,15 +66,12 @@ fn surf_mining_is_faster_than_f_glowworm_on_larger_data() {
             .with_points_per_region(20_000)
             .with_seed(303),
     );
-    let config = ComparisonConfig {
-        index_kind: surf::data::index::IndexKind::Scan,
-        ..ComparisonConfig::quick().with_seed(303)
-    };
-    let harness = MethodComparison::new(config);
+    let dataset = synthetic.dataset.with_index_kind(IndexKind::Scan);
+    let harness = MethodComparison::new(ComparisonConfig::quick().with_seed(303));
     let surf_run = harness
         .run(
             Method::Surf,
-            &synthetic.dataset,
+            &dataset,
             Statistic::Count,
             Threshold::above(5_000.0),
         )
@@ -82,7 +79,7 @@ fn surf_mining_is_faster_than_f_glowworm_on_larger_data() {
     let f_run = harness
         .run(
             Method::FGlowworm,
-            &synthetic.dataset,
+            &dataset,
             Statistic::Count,
             Threshold::above(5_000.0),
         )
@@ -105,26 +102,20 @@ fn indexed_f_glowworm_is_much_faster_than_the_scan() {
             .with_points_per_region(20_000)
             .with_seed(303),
     );
-    let run_with = |kind: surf::data::index::IndexKind| {
-        let config = ComparisonConfig {
-            index_kind: kind,
-            ..ComparisonConfig::quick().with_seed(303)
-        };
-        MethodComparison::new(config)
+    let run_with = |kind: IndexKind| {
+        MethodComparison::new(ComparisonConfig::quick().with_seed(303))
             .run(
                 Method::FGlowworm,
-                &synthetic.dataset,
+                &synthetic.dataset.clone().with_index_kind(kind),
                 Statistic::Count,
                 Threshold::above(5_000.0),
             )
             .unwrap()
     };
     // Build the grid index outside the timed mining run (the scan path has no index).
-    synthetic
-        .dataset
-        .region_index(surf::data::index::IndexKind::Grid);
-    let indexed = run_with(surf::data::index::IndexKind::Grid);
-    let scanned = run_with(surf::data::index::IndexKind::Scan);
+    synthetic.dataset.region_index(IndexKind::Grid);
+    let indexed = run_with(IndexKind::Grid);
+    let scanned = run_with(IndexKind::Scan);
     assert!(
         indexed.mining_time < scanned.mining_time,
         "indexed f+GlowWorm ({:?}) should beat the scan ({:?}) at N = 150k",
@@ -143,17 +134,15 @@ fn naive_times_out_gracefully_under_a_tight_budget() {
     );
     // Pinned to the scan path: the timeout/coverage accounting is under test, and it needs
     // the original per-candidate full-scan cost (the index finishes this sweep in time).
-    let config = ComparisonConfig {
-        index_kind: surf::data::index::IndexKind::Scan,
-        ..ComparisonConfig::quick()
-            .with_seed(305)
-            .with_naive_time_limit(Duration::from_millis(50))
-    };
+    let dataset = synthetic.dataset.with_index_kind(IndexKind::Scan);
+    let config = ComparisonConfig::quick()
+        .with_seed(305)
+        .with_naive_time_limit(Duration::from_millis(50));
     let harness = MethodComparison::new(config);
     let run = harness
         .run(
             Method::Naive,
-            &synthetic.dataset,
+            &dataset,
             Statistic::Count,
             Threshold::above(1_000.0),
         )
