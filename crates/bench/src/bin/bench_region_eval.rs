@@ -3,14 +3,15 @@
 //! N ∈ {10k, 100k, 1M} and d ∈ {2, 4, 8}, and writes the results (including index build
 //! times and speedup factors) to `BENCH_region_eval.json` in the working directory, stamped
 //! with the host's available parallelism and detected ISA, so CI can accumulate a perf
-//! trajectory across commits.
+//! trajectory across commits. Each repetition is timed on its own: a cell reports the
+//! median pass with its quartiles, so the spread of a noisy host shows in the artifact.
 //!
 //! `--quick` runs a reduced matrix for CI smoke; `--full` adds more repetitions.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
-use surf_bench::report::print_table;
+use surf_bench::report::{percentile, print_table};
 use surf_bench::Scale;
 use surf_data::index::IndexKind;
 use surf_data::statistic::Statistic;
@@ -26,9 +27,13 @@ struct Measurement {
     index: String,
     /// One-off index construction time (0 for the scan).
     build_seconds: f64,
-    /// Mean wall-clock time per region evaluation.
+    /// Wall-clock time per region evaluation in the median timed pass.
     eval_micros: f64,
-    /// Scan time divided by this index's time on the same configuration.
+    /// The same in the first-quartile pass.
+    eval_micros_q1: f64,
+    /// The same in the third-quartile pass.
+    eval_micros_q3: f64,
+    /// Median scan time divided by this index's median time on the same configuration.
     speedup_vs_scan: f64,
 }
 
@@ -84,7 +89,7 @@ fn main() {
                 dataset.region_index(kind);
                 let build_seconds = build_start.elapsed().as_secs_f64();
 
-                // Warm-up pass, then timed repetitions over the whole region mix.
+                // Warm-up pass, then separately timed repetitions over the whole region mix.
                 let evaluate_all = || {
                     let mut acc = 0.0f64;
                     for region in &regions {
@@ -96,12 +101,17 @@ fn main() {
                     acc
                 };
                 std::hint::black_box(evaluate_all());
-                let timer = Instant::now();
-                for _ in 0..repetitions {
-                    std::hint::black_box(evaluate_all());
-                }
-                let eval_micros =
-                    timer.elapsed().as_secs_f64() * 1e6 / (repetitions * regions.len()) as f64;
+                let mut pass_micros: Vec<f64> = (0..repetitions)
+                    .map(|_| {
+                        let timer = Instant::now();
+                        std::hint::black_box(evaluate_all());
+                        timer.elapsed().as_secs_f64() * 1e6 / regions.len() as f64
+                    })
+                    .collect();
+                pass_micros.sort_by(f64::total_cmp);
+                let eval_micros = percentile(&pass_micros, 0.5);
+                let eval_micros_q1 = percentile(&pass_micros, 0.25);
+                let eval_micros_q3 = percentile(&pass_micros, 0.75);
                 if kind == IndexKind::Scan {
                     scan_micros = eval_micros;
                 }
@@ -112,6 +122,7 @@ fn main() {
                     kind.name().to_string(),
                     format!("{build_seconds:.4}"),
                     format!("{eval_micros:.2}"),
+                    format!("{eval_micros_q1:.2}–{eval_micros_q3:.2}"),
                     format!("{speedup:.1}x"),
                 ]);
                 results.push(Measurement {
@@ -121,6 +132,8 @@ fn main() {
                     index: kind.name().to_string(),
                     build_seconds,
                     eval_micros,
+                    eval_micros_q1,
+                    eval_micros_q3,
                     speedup_vs_scan: speedup,
                 });
             }
@@ -129,7 +142,7 @@ fn main() {
 
     print_table(
         "region_eval (Count statistic)",
-        &["N", "d", "index", "build s", "µs/eval", "speedup"],
+        &["N", "d", "index", "build s", "µs/eval", "q1–q3", "speedup"],
         &rows,
     );
 

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
-use surf_bench::report::print_table;
+use surf_bench::report::{percentile, print_table};
 use surf_bench::Scale;
 use surf_core::objective::Threshold;
 use surf_core::{Surf, SurfConfig};
@@ -349,14 +349,6 @@ fn bucket_delta(before: &[(f64, f64)], after: &[(f64, f64)]) -> Vec<(f64, f64)> 
 /// histograms use to microseconds.
 fn delta_quantile_us(delta: &[(f64, f64)], q: f64) -> Option<f64> {
     expo::histogram_quantile(delta, q).map(|nanos| nanos / 1_000.0)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn main() {

@@ -45,6 +45,16 @@ pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// The nearest-rank `p`-quantile of ascending `sorted`: the smallest sample with at least a
+/// `p` share of the samples at or below it (NaN when there are none).
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((sorted.len() as f64) * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Formats a duration in seconds with millisecond resolution, the unit Table I uses.
 pub fn seconds(duration: std::time::Duration) -> String {
     format!("{:.3}", duration.as_secs_f64())
@@ -58,6 +68,19 @@ mod tests {
     fn seconds_formats_with_three_decimals() {
         assert_eq!(seconds(std::time::Duration::from_millis(1_500)), "1.500");
         assert_eq!(seconds(std::time::Duration::from_micros(500)), "0.001");
+    }
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.25), 2.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 0.75), 4.0);
+        assert_eq!(percentile(&sorted, 0.99), 5.0);
+        assert_eq!(percentile(&sorted, 1.0), 5.0);
+        assert_eq!(percentile(&[7.0], 0.5), 7.0);
+        assert!(percentile(&[], 0.5).is_nan());
     }
 
     #[test]

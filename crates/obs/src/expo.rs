@@ -3,14 +3,13 @@
 //!
 //! The writer emits the version-0.0.4 text format: `# HELP` / `# TYPE` per family, one
 //! sample line per series, histograms as cumulative `_bucket{le=...}` lines (ending in
-//! `le="+Inf"`) plus `_sum` and `_count`. Instrument-backed values are exact integers —
-//! the instruments count events and nanoseconds, so nothing is lost to float formatting;
-//! snapshot-only float gauges render in shortest round-trip decimal form.
+//! `le="+Inf"`) plus `_sum` and `_count`. Every value is an exact integer — the
+//! instruments count events and nanoseconds, so nothing is lost to float formatting.
 //!
-//! [`parse`] and [`validate`] close the loop: the e2e suite and the `expocheck` bin
-//! verify that a live `/metrics` body is well-formed (declared types, legal names,
-//! escaped labels, cumulative buckets, `_count` = `+Inf`, `_sum` present), and the serve
-//! benchmark reads bucket deltas back out of scraped text to attribute latency.
+//! [`parse`] and [`validate`] close the loop: the e2e suite verifies that a live
+//! `/metrics` body is well-formed (declared types, legal names, escaped labels, cumulative
+//! buckets, `_count` = `+Inf`, `_sum` present), and the serve benchmark reads bucket deltas
+//! back out of scraped text to attribute latency.
 
 use crate::metrics::{SampleValue, Snapshot};
 
@@ -41,9 +40,6 @@ pub fn render(snapshot: &Snapshot) -> String {
                 }
                 SampleValue::Gauge(v) => {
                     sample_line(&mut out, &family.name, &labels, None, &v.to_string());
-                }
-                SampleValue::GaugeF64(v) => {
-                    sample_line(&mut out, &family.name, &labels, None, &format_f64(*v));
                 }
                 SampleValue::Histogram(h) => {
                     let bucket_name = format!("{}_bucket", family.name);
@@ -85,20 +81,6 @@ pub fn render(snapshot: &Snapshot) -> String {
         }
     }
     out
-}
-
-/// Formats a float gauge value: Prometheus spells non-finite readings `+Inf`/`-Inf`/`NaN`;
-/// finite ones use Rust's shortest round-trip decimal form.
-fn format_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
 }
 
 fn sample_line(

@@ -13,8 +13,8 @@
 //!   label set) and mergeable across registries.
 //! * [`expo`] — a hand-rolled Prometheus text-exposition writer over registry snapshots
 //!   (`# HELP`/`# TYPE`, label escaping, cumulative `_bucket`/`_sum`/`_count`), plus a
-//!   parser and a well-formedness [`expo::validate`] checker used by tests, the
-//!   `expocheck` bin and the serve benchmark.
+//!   parser and a well-formedness [`expo::validate`] checker used by tests and the serve
+//!   benchmark.
 //! * [`trace`] — a per-request [`trace::Trace`] of named spans timed on the monotonic
 //!   clock, fed into a sampling [`trace::FlightRecorder`] of bounded per-shard rings.
 //!   Deep call sites (the kernel under a route handler, a swarm iteration under `/mine`)
@@ -25,10 +25,11 @@
 //! commute, so a concurrent snapshot is independent of thread interleaving order — the
 //! property the workspace's determinism posture demands of every merge.
 //!
-//! The per-server recorders live behind an [`ObsConfig`]; library-level coarse spans
+//! Every instrument always records. The one setting, [`ObsConfig`], sizes a server's
+//! flight recorder and picks how many requests it samples. Library-level coarse spans
 //! (training rounds in `surf-ml`, swarm evaluations and density weights in `surf-optim`)
 //! and counters (density-weight outcomes, mining passes in `surf-core`) record through the
-//! process-wide [`global()`] handle, whose disabled span path is a single relaxed load.
+//! process-wide [`global()`] handle.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Recording must never panic a worker thread out from under a request; tests keep the
@@ -39,7 +40,6 @@ pub mod expo;
 pub mod metrics;
 pub mod trace;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
@@ -48,17 +48,11 @@ use serde::{Deserialize, Serialize};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 pub use trace::{FlightRecorder, Trace, TraceSample};
 
-/// Switches for the per-server recorders. Metrics and tracing are independently
-/// toggleable so benchmarks can pin either mode and measure the other's overhead.
+/// Sampling settings of a server's flight recorder. Metrics always record; only the
+/// per-request traces are sampled.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsConfig {
-    /// Record the latency-breakdown histograms (the counters and gauges that `/stats`
-    /// always served keep updating regardless — they cost what they always cost).
-    pub metrics: bool,
-    /// Assemble sampled per-request traces for the flight recorder.
-    pub tracing: bool,
-    /// Sample one request trace out of every `trace_sample_every` (0 disables sampling
-    /// even when `tracing` is on).
+    /// Sample one request trace out of every `trace_sample_every` (0 samples no request).
     pub trace_sample_every: u64,
     /// Most recent traces the flight recorder retains across its shards.
     pub trace_capacity: usize,
@@ -67,23 +61,8 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            metrics: true,
-            tracing: true,
             trace_sample_every: 16,
             trace_capacity: 256,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Everything off: the configuration benches pin to measure the uninstrumented
-    /// baseline.
-    pub fn disabled() -> Self {
-        ObsConfig {
-            metrics: false,
-            tracing: false,
-            trace_sample_every: 0,
-            trace_capacity: 0,
         }
     }
 }
@@ -117,23 +96,10 @@ pub struct GlobalObs {
     /// GSO passes a mining call re-ran at the raw threshold after the margined pass found
     /// nothing (`surf-core`).
     pub core_mine_runs_raw: Arc<Counter>,
-    enabled: AtomicBool,
 }
 
 impl GlobalObs {
-    /// Whether library spans are being recorded (one relaxed load — the entire cost of a
-    /// disabled call site). Counters count regardless.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns library-span recording on or off process-wide.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Starts a span timer, or `None` when recording is off — the pattern that keeps the
-    /// disabled hot path free of clock reads:
+    /// Starts a span timer:
     ///
     /// ```
     /// let g = surf_obs::global();
@@ -141,20 +107,13 @@ impl GlobalObs {
     /// // ... the measured work ...
     /// g.record(&g.ml_round_fit, t);
     /// ```
-    pub fn timer(&self) -> Option<Instant> {
-        if self.enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    pub fn timer(&self) -> Instant {
+        Instant::now()
     }
 
-    /// Completes a [`GlobalObs::timer`] span into `histogram` (no-op when the timer was
-    /// never started).
-    pub fn record(&self, histogram: &Histogram, started: Option<Instant>) {
-        if let Some(started) = started {
-            histogram.observe_duration(started.elapsed());
-        }
+    /// Completes a [`GlobalObs::timer`] span into `histogram`.
+    pub fn record(&self, histogram: &Histogram, started: Instant) {
+        histogram.observe_duration(started.elapsed());
     }
 }
 
@@ -217,12 +176,11 @@ static GLOBAL: LazyLock<GlobalObs> = LazyLock::new(|| {
         optim_density_weights_unread,
         core_mine_runs_margined,
         core_mine_runs_raw,
-        enabled: AtomicBool::new(true),
     }
 });
 
-/// The process-wide [`GlobalObs`] handle (created on first use; enabled by default —
-/// the coarse spans it carries cost nanoseconds against work that costs microseconds).
+/// The process-wide [`GlobalObs`] handle (created on first use; the coarse spans it carries
+/// cost nanoseconds against work that costs microseconds, so they always record).
 pub fn global() -> &'static GlobalObs {
     &GLOBAL
 }
@@ -232,29 +190,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn global_timer_respects_the_enable_flag() {
+    fn global_timer_records_one_observation_per_span() {
         let g = global();
-        let before = g.enabled();
-        g.set_enabled(false);
-        assert!(g.timer().is_none());
-        g.set_enabled(true);
-        let t = g.timer();
-        assert!(t.is_some());
         let count_before = g.ml_round_fit.snapshot().count;
+        let t = g.timer();
         g.record(&g.ml_round_fit, t);
-        g.record(&g.ml_round_fit, None);
         assert_eq!(g.ml_round_fit.snapshot().count, count_before + 1);
-        g.set_enabled(before);
     }
 
     #[test]
-    fn obs_config_round_trips_and_disabled_is_all_off() {
+    fn obs_config_round_trips_and_samples_by_default() {
         let config = ObsConfig::default();
         let json = serde_json::to_string(&config).unwrap();
         let back: ObsConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
-        let off = ObsConfig::disabled();
-        assert!(!off.metrics && !off.tracing);
-        assert_eq!(off.trace_sample_every, 0);
+        assert!(config.trace_sample_every > 0 && config.trace_capacity > 0);
     }
 }

@@ -3,7 +3,7 @@
 //! Recording is lock-free: a [`Counter`] add, a [`Gauge`] store and a [`Histogram`]
 //! observation are all relaxed atomic operations on pre-allocated cells — no allocation,
 //! no lock, no syscall. The registry's mutex is touched only at *registration* (server
-//! start-up) and *snapshot* (a `/metrics` or `/stats` scrape), never on a request path.
+//! start-up) and *snapshot* (a `/metrics` scrape), never on a request path.
 //!
 //! Determinism: histogram observations are integer nanoseconds into integer buckets, so
 //! concurrent recording commutes — a snapshot's bucket counts and sum are independent of
@@ -371,10 +371,6 @@ pub enum SampleValue {
     Counter(u64),
     /// Gauge reading.
     Gauge(i64),
-    /// Float gauge reading — for snapshot-only values that are not integral (e.g. compile
-    /// times in seconds). No live [`Gauge`] instrument backs this variant; producers push
-    /// it straight into assembled snapshots.
-    GaugeF64(f64),
     /// Histogram state.
     Histogram(HistogramSnapshot),
 }
@@ -462,17 +458,6 @@ impl Snapshot {
             InstrumentKind::Gauge,
             labels,
             SampleValue::Gauge(value),
-        );
-    }
-
-    /// Appends a float gauge sample (creating the family on first use).
-    pub fn push_gauge_f64(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.push(
-            name,
-            help,
-            InstrumentKind::Gauge,
-            labels,
-            SampleValue::GaugeF64(value),
         );
     }
 

@@ -5,8 +5,7 @@
 //!                  [--queries 2000] [--threshold 500] [--seed 7]
 //! surf-serve serve --artifact model.json [--artifact other.json ...] [--addr 127.0.0.1:7878]
 //!                  [--workers 0] [--idle-timeout-ms 5000] [--max-conns 1024]
-//!                  [--max-pending 256]
-//!                  [--no-metrics] [--no-tracing] [--trace-sample-every 16]
+//!                  [--max-pending 256] [--trace-sample-every 16]
 //! surf-serve query --addr 127.0.0.1:7878 --model demo --center 0.5,0.5 --half 0.1,0.1
 //! ```
 //!
@@ -51,7 +50,7 @@ const USAGE: &str = "usage:
                    [--threshold 500] [--seed 7]
   surf-serve serve --artifact <file> [--artifact <file> ...] [--addr 127.0.0.1:7878] [--workers 0]
                    [--idle-timeout-ms 5000] [--max-conns 1024] [--max-pending 256]
-                   [--no-metrics] [--no-tracing] [--trace-sample-every 16]
+                   [--trace-sample-every 16]
   surf-serve query --addr <host:port> --model <name> --center x,y,... --half l1,l2,...
 ";
 
@@ -128,8 +127,6 @@ fn run_server(args: &[String]) -> Result<(), String> {
         eprintln!("registered model `{name}` from {path}");
     }
     let obs = surf_serve::ObsConfig {
-        metrics: !args.iter().any(|a| a == "--no-metrics"),
-        tracing: !args.iter().any(|a| a == "--no-tracing"),
         trace_sample_every: parse(
             flag(args, "--trace-sample-every", "16"),
             "--trace-sample-every",
@@ -152,12 +149,11 @@ fn run_server(args: &[String]) -> Result<(), String> {
         handle.addr(),
         handle.context().workers,
     );
-    eprintln!(
-        "observability: metrics {} (GET /metrics), tracing {} (GET /trace, 1 in {} requests)",
-        if config.obs.metrics { "on" } else { "off" },
-        if config.obs.tracing { "on" } else { "off" },
-        config.obs.trace_sample_every.max(1)
-    );
+    let sampled = match config.obs.trace_sample_every {
+        0 => "no request sampled".to_string(),
+        n => format!("1 in {n} requests sampled"),
+    };
+    eprintln!("observability: GET /metrics, GET /trace ({sampled})");
     // Serve until the process is killed.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

@@ -39,7 +39,7 @@ pub(crate) struct Connection {
     peer_closed: bool,
     requests_parsed: u64,
     /// Statuses of protocol-level error responses (400/413) queued by the state machine
-    /// itself; the transport drains these into the `/stats` error counters, since such
+    /// itself; the transport drains these into the route error counters, since such
     /// requests never reach the dispatch layer that normally records them.
     queued_errors: Vec<u16>,
     /// Last moment bytes arrived or a response was queued (drives the idle timeout).
@@ -211,7 +211,7 @@ impl Connection {
     }
 
     /// Drains the statuses of error responses the state machine queued on its own (so the
-    /// transport can count them in `/stats`).
+    /// transport can count them in the route error counters).
     pub(crate) fn take_errors(&mut self) -> Vec<u16> {
         std::mem::take(&mut self.queued_errors)
     }

@@ -5,8 +5,9 @@
 //!
 //! * The **reactor thread** owns the listener and every connection socket. It accepts,
 //!   reads, writes and times out connections — all non-blocking — and runs *cheap* routes
-//!   (`/models`, `/healthz`, `/stats`, errors) inline: their handlers touch only counters
-//!   and the registry index, so a thread hop would cost more than the work.
+//!   (`/models`, `/healthz`, `/metrics`, `/trace`, errors) inline: their handlers touch
+//!   only instruments and the registry index, so a thread hop would cost more than the
+//!   work.
 //! * **Heavy** routes (`POST /predict`, `POST /mine` — the ones that walk ensembles) are
 //!   pushed as [`HandlerJob`]s to the handler pool and their responses come back over a
 //!   completion channel; the reactor is woken by a [`Waker`] and attaches each response to
@@ -59,7 +60,7 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
 pub(crate) struct HandlerJob {
     token: u64,
     request: Request,
-    /// When the request was parsed; `/stats` latency includes the queue wait.
+    /// When the request was parsed; the route latency includes the queue wait.
     accepted: Instant,
     /// The flight-recorder trace riding with this request, if it was sampled.
     trace: Option<Trace>,
@@ -503,7 +504,7 @@ fn flush_write(entry: &mut ConnEntry, obs: &ServeObs) {
     if !entry.conn.wants_write() {
         return;
     }
-    let timer = obs.timer();
+    let started = Instant::now();
     while entry.conn.wants_write() {
         match entry.stream.write(entry.conn.pending_write()) {
             Ok(0) => {
@@ -519,5 +520,5 @@ fn flush_write(entry: &mut ConnEntry, obs: &ServeObs) {
             }
         }
     }
-    obs.observe(&obs.write_flush, timer);
+    obs.observe_since(&obs.write_flush, started);
 }

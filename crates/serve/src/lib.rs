@@ -15,12 +15,14 @@
 //!   ([`registry::ModelRegistry`]).
 //! * [`server`] + [`routes`] — a dependency-free HTTP/1.1 JSON API over `std::net`: `POST
 //!   /predict` (single + batched region queries), `POST /mine` (GSO mining), `GET /models`,
-//!   `GET /healthz` and `GET /stats`. One transport serves them: a readiness-based epoll
-//!   event loop (built on the in-tree `surf-reactor` crate) with keep-alive, pipelining,
-//!   idle timeouts and bounded-queue admission control. A `/predict` handler answers all of
-//!   a request's regions with one `Surrogate::predict_batch` call and a `/mine` handler
-//!   calls `Surf::mine_with`, so a served answer is the in-process answer, bit for bit.
-//!   Errors map onto structured JSON bodies via [`error::ServeError`].
+//!   `GET /healthz`, and the observability pair `GET /metrics` (Prometheus text over the
+//!   [`obs`] instruments) and `GET /trace` (sampled request traces). One transport serves
+//!   them: a readiness-based epoll event loop (built on the in-tree `surf-reactor` crate)
+//!   with keep-alive, pipelining, idle timeouts and bounded-queue admission control. A
+//!   `/predict` handler answers all of a request's regions with one
+//!   `Surrogate::predict_batch` call and a `/mine` handler calls `Surf::mine_with`, so a
+//!   served answer is the in-process answer, bit for bit. Errors map onto structured JSON
+//!   bodies via [`error::ServeError`].
 //!
 //! The `surf-serve` binary wires the layers into `train` / `serve` / `query` subcommands; see
 //! the crate README section and `examples/serve.rs` for the full train → save → serve → query

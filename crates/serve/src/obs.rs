@@ -1,20 +1,16 @@
 //! Per-server observability: the metrics registry, latency-breakdown histograms and
-//! flight recorder behind `GET /metrics`, `GET /trace` and `GET /stats`.
+//! flight recorder behind `GET /metrics` and `GET /trace`.
 //!
 //! One [`ServeObs`] is owned by each [`ServeContext`] — servers in the same process (the
 //! e2e suite runs several) never share counters. The registry is the **single source of
-//! truth**: `/stats` reads the same instruments `/metrics` renders, and component state
-//! that predates this module (job queue, registry, uptime) is appended to the snapshot as
-//! adapter families so every number `/stats` serves has a Prometheus series with a stable
-//! name.
+//! truth**: component state kept outside it (job queue, registry, uptime) is appended to
+//! the `/metrics` snapshot as adapter families, so every number the server knows has a
+//! Prometheus series with a stable name.
 //!
-//! Cost model: counters and gauges are always recorded — they are the same relaxed
-//! atomics the `/stats` endpoint has always been built on. What [`ObsConfig::metrics`]
-//! gates is the *new* clock reads behind the latency-breakdown histograms
-//! (`recv_parse`, `queue_wait`, `kernel`, `write_flush`), via the
-//! [`ServeObs::timer`] → [`ServeObs::observe`] pair whose disabled path never touches the
-//! clock. [`ObsConfig::tracing`] independently gates the flight recorder's sampled
-//! per-request traces.
+//! Cost model: every instrument always records — counters and gauges are relaxed atomics,
+//! and each breakdown histogram (`recv_parse`, `queue_wait`, `kernel`, `write_flush`)
+//! costs one clock read and a few atomic adds per request. Only the flight recorder's
+//! per-request traces are sampled, one request in [`ObsConfig::trace_sample_every`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,11 +19,10 @@ use surf_obs::metrics::{default_duration_bounds, Counter, Gauge, Histogram, Metr
 use surf_obs::trace::{FlightRecorder, Trace};
 use surf_obs::{ObsConfig, Snapshot};
 
-use crate::server::{EndpointSnapshot, ServeContext};
+use crate::server::ServeContext;
 
 /// Request/error counters and a latency histogram for one route family, all registered
-/// instruments — the `/stats` endpoint snapshot and the `/metrics` exposition read the
-/// same cells.
+/// instruments rendered by `/metrics`.
 pub struct RouteStats {
     requests: Arc<Counter>,
     errors: Arc<Counter>,
@@ -66,18 +61,6 @@ impl RouteStats {
         }
         self.latency.observe_duration(elapsed);
     }
-
-    /// The `/stats` view over the same instruments.
-    pub fn snapshot(&self) -> EndpointSnapshot {
-        let requests = self.requests.get();
-        let total_micros = self.latency.snapshot().sum / 1_000;
-        EndpointSnapshot {
-            requests,
-            errors: self.errors.get(),
-            total_micros,
-            mean_micros: total_micros.checked_div(requests).unwrap_or(0),
-        }
-    }
 }
 
 /// The per-server observability state: registry, route stats, breakdown histograms,
@@ -90,7 +73,7 @@ pub struct ServeObs {
     pub predict: RouteStats,
     /// `/mine` counters.
     pub mine: RouteStats,
-    /// Counters for every other route (listings, health, stats, metrics, errors).
+    /// Counters for every other route (listings, health, metrics, trace, errors).
     pub other: RouteStats,
     /// First request byte to complete parse.
     pub recv_parse: Arc<Histogram>,
@@ -116,11 +99,7 @@ impl ServeObs {
     pub fn new(config: &ObsConfig) -> Self {
         let registry = MetricsRegistry::new();
         let bounds = default_duration_bounds();
-        let recorder = if config.tracing {
-            FlightRecorder::new(config.trace_sample_every, config.trace_capacity)
-        } else {
-            FlightRecorder::new(0, 0)
-        };
+        let recorder = FlightRecorder::new(config.trace_sample_every, config.trace_capacity);
         let predict = RouteStats::new(&registry, "/predict");
         let mine = RouteStats::new(&registry, "/mine");
         let other = RouteStats::new(&registry, "other");
@@ -182,40 +161,14 @@ impl ServeObs {
         &self.recorder
     }
 
-    /// Starts a breakdown-histogram timer, or `None` when [`ObsConfig::metrics`] is off —
-    /// the disabled path reads no clock.
-    pub fn timer(&self) -> Option<Instant> {
-        if self.config.metrics {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Completes a [`ServeObs::timer`] measurement into `histogram`.
-    pub fn observe(&self, histogram: &Histogram, started: Option<Instant>) {
-        if let Some(started) = started {
-            histogram.observe_duration(started.elapsed());
-        }
-    }
-
-    /// Records the time since `started` into `histogram` — for intervals whose start the
-    /// transport already had on hand (an accept or parse timestamp) regardless of
-    /// metrics. Gated the same as [`ServeObs::timer`]: off, no clock read happens here.
+    /// Records the time since `started` into `histogram`.
     pub fn observe_since(&self, histogram: &Histogram, started: Instant) {
-        if self.config.metrics {
-            histogram.observe_duration(started.elapsed());
-        }
+        histogram.observe_duration(started.elapsed());
     }
 
-    /// Starts a sampled request trace, or `None` when tracing is off or this request was
-    /// not sampled.
+    /// Starts a sampled request trace, or `None` when this request was not sampled.
     pub fn begin_trace(&self, label: &str) -> Option<Trace> {
-        if self.config.tracing {
-            self.recorder.begin(label)
-        } else {
-            None
-        }
+        self.recorder.begin(label)
     }
 
     /// Finishes a trace (if one was being carried) into the flight recorder.
@@ -223,11 +176,6 @@ impl ServeObs {
         if let Some(trace) = trace {
             self.recorder.finish(trace);
         }
-    }
-
-    /// Total admission-control rejections across causes (the `/stats` aggregate).
-    pub fn admission_rejects(&self) -> u64 {
-        self.rejects_connections.get() + self.rejects_queue.get()
     }
 }
 

@@ -4,7 +4,7 @@
 //! queue. Compared to the `mpsc`-receiver-under-a-mutex handoff it replaces, the Condvar
 //! design keeps all blocking *inside* `Condvar::wait` (no blocking call ever runs under a
 //! live guard), exposes an O(1) lock-free [`WorkQueue::len`] for admission control and
-//! `/stats`, and needs no lint escape hatch.
+//! `/metrics`, and needs no lint escape hatch.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,7 @@ pub(crate) struct WorkQueue<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
     /// Mirror of `items.len()`, maintained under the lock but readable without it —
-    /// `/stats` and the admission check must never block on the handoff mutex.
+    /// `/metrics` and the admission check must never block on the handoff mutex.
     depth: AtomicU64,
 }
 

@@ -6,14 +6,13 @@
 //! | `/mine`          | POST   | GSO region mining against a registered surrogate     |
 //! | `/models`        | GET    | List registered models                               |
 //! | `/healthz`       | GET    | Liveness + model count                               |
-//! | `/stats`         | GET    | JSON view over the metrics registry                  |
-//! | `/metrics`       | GET    | Prometheus text exposition of the same registry      |
+//! | `/metrics`       | GET    | Prometheus text exposition of the metrics registry   |
 //! | `/trace`         | GET    | Flight-recorder samples (recent request traces)      |
 //!
 //! Every error path returns `{"error": {"code", "message"}}` with the status from
 //! [`ServeError::status`] — handlers never panic on user input and never drop the connection
-//! without a response. `/stats` and `/metrics` are two renderings of the **same**
-//! instruments (see [`crate::obs`]): a counter visible in one is visible in the other.
+//! without a response. `/metrics` renders every instrument the server records (see
+//! [`crate::obs`]).
 
 use serde::{Deserialize, Serialize};
 use surf_core::finder::MiningOutcome;
@@ -25,7 +24,7 @@ use surf_obs::TraceSample;
 use crate::error::ServeError;
 use crate::http::{Request, CONTENT_TYPE_JSON, CONTENT_TYPE_METRICS};
 use crate::registry::ModelInfo;
-use crate::server::{EndpointSnapshot, ServeContext};
+use crate::server::ServeContext;
 
 /// A region in center / half-length form, as accepted on the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,33 +149,10 @@ pub struct HealthResponse {
     pub models: usize,
 }
 
-/// Response of `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsResponse {
-    /// Seconds since the server started.
-    pub uptime_secs: u64,
-    /// Worker-pool size.
-    pub workers: usize,
-    /// Currently open client connections.
-    pub open_connections: u64,
-    /// Requests served over a reused keep-alive connection.
-    pub keepalive_reuses: u64,
-    /// Heavy requests currently queued for the handler pool.
-    pub queue_depth: u64,
-    /// Requests refused by admission control with a `503`.
-    pub admission_rejects: u64,
-    /// `/predict` latency counters.
-    pub predict: EndpointSnapshot,
-    /// `/mine` latency counters.
-    pub mine: EndpointSnapshot,
-    /// Counters for every other route.
-    pub other: EndpointSnapshot,
-}
-
 /// Response of `GET /trace`: the flight recorder's most recent sampled request traces.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceResponse {
-    /// Whether tracing is enabled on this server.
+    /// Whether this server samples any request (`sample_every > 0`).
     pub enabled: bool,
     /// One request in this many is sampled (0 = none).
     pub sample_every: u64,
@@ -232,7 +208,6 @@ fn route(context: &ServeContext, request: &Request) -> Result<Reply, ServeError>
             models: context.registry.len()?,
         })
         .map(json_reply),
-        ("GET", "/stats") => stats(context).map(json_reply),
         ("GET", "/metrics") => Ok(Reply {
             status: 200,
             body: crate::obs::render_metrics(context),
@@ -242,40 +217,18 @@ fn route(context: &ServeContext, request: &Request) -> Result<Reply, ServeError>
             let obs = &context.obs;
             let config = obs.config();
             to_json(&TraceResponse {
-                enabled: config.tracing && config.trace_sample_every > 0,
-                sample_every: if config.tracing {
-                    config.trace_sample_every
-                } else {
-                    0
-                },
+                enabled: config.trace_sample_every > 0,
+                sample_every: config.trace_sample_every,
                 requests_seen: obs.recorder().requests_seen(),
                 samples: obs.recorder().samples(config.trace_capacity.max(1)),
             })
             .map(json_reply)
         }
-        (_, "/predict" | "/mine" | "/models" | "/healthz" | "/stats" | "/metrics" | "/trace") => {
+        (_, "/predict" | "/mine" | "/models" | "/healthz" | "/metrics" | "/trace") => {
             Err(ServeError::MethodNotAllowed(request.method.clone()))
         }
         (_, path) => Err(ServeError::NotFound(format!("route `{path}`"))),
     }
-}
-
-/// `/stats` is a *view* over the same instruments `/metrics` renders: every number below
-/// is read from the [`crate::obs::ServeObs`] registry or from the component state the
-/// `/metrics` adapter families are built from.
-fn stats(context: &ServeContext) -> Result<String, ServeError> {
-    let obs = &context.obs;
-    to_json(&StatsResponse {
-        uptime_secs: context.started.elapsed().as_secs(),
-        workers: context.workers,
-        open_connections: obs.open_connections.get().max(0) as u64,
-        keepalive_reuses: obs.keepalive_reuses.get(),
-        queue_depth: context.queue_depth(),
-        admission_rejects: obs.admission_rejects(),
-        predict: obs.predict.snapshot(),
-        mine: obs.mine.snapshot(),
-        other: obs.other.snapshot(),
-    })
 }
 
 fn predict(context: &ServeContext, body: &str) -> Result<String, ServeError> {

@@ -67,32 +67,18 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-endpoint counters as served by `/stats` — derived from the
-/// [`crate::obs::RouteStats`] instruments, which also feed `/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EndpointSnapshot {
-    /// Requests handled.
-    pub requests: u64,
-    /// Requests answered with a 4xx/5xx status.
-    pub errors: u64,
-    /// Total handling latency in microseconds.
-    pub total_micros: u64,
-    /// Mean handling latency in microseconds.
-    pub mean_micros: u64,
-}
-
 /// Shared state of a serving process: registry, job queue and instruments.
 pub struct ServeContext {
     /// The models being served.
     pub registry: Arc<ModelRegistry>,
-    /// Every instrument this server records — the single source `/stats`, `/metrics` and
-    /// `/trace` all read from.
+    /// Every instrument this server records — the single source `/metrics` and `/trace`
+    /// read from.
     pub obs: ServeObs,
     /// Resolved worker-pool size.
     pub workers: usize,
     /// When the server started.
     pub started: Instant,
-    /// The handler-pool job queue — exposed for `/stats` depth reads and admission checks.
+    /// The handler-pool job queue — exposed for `/metrics` depth reads and admission checks.
     pub(crate) jobs: Arc<WorkQueue<HandlerJob>>,
 }
 
@@ -113,10 +99,10 @@ impl ServeContext {
         model: &Arc<ServableModel>,
         regions: &[Region],
     ) -> Vec<f64> {
-        let timer = self.obs.timer();
+        let started = Instant::now();
         let span = surf_obs::trace::span_timer();
         let values = surf_core::Surrogate::predict_batch(model.engine.surrogate(), regions);
-        self.obs.observe(&self.obs.kernel, timer);
+        self.obs.observe_since(&self.obs.kernel, started);
         surf_obs::trace::record_span("kernel", span);
         values
     }

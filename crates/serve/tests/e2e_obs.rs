@@ -1,8 +1,8 @@
 //! End-to-end tests of the observability surface over real TCP: `/metrics` serves valid
-//! Prometheus text whose breakdown histograms were actually recorded by the transport,
-//! `/stats` agrees with `/metrics` (they are two views over the same registry), the
-//! flight recorder serves traces on `/trace`, and a served `/mine` reaches the
-//! process-global mining instruments.
+//! Prometheus text whose breakdown histograms were actually recorded by the transport and
+//! whose route and connection counters match the traffic exactly, the flight recorder
+//! serves traces on `/trace`, and a served `/mine` reaches the process-global mining
+//! instruments.
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_obs::expo;
 use surf_optim::gso::GsoParams;
 use surf_serve::http::HttpClient;
-use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec, StatsResponse};
+use surf_serve::routes::{MineResponse, PredictRequest, RegionSpec};
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
 
 fn quick_engine(seed: u64) -> Surf {
@@ -82,9 +82,9 @@ fn probe_regions(offset: usize, count: usize) -> Vec<Region> {
         .collect()
 }
 
-/// Drives a handful of requests and returns the parsed `/metrics` samples plus the
-/// `/stats` snapshot taken over the same connection (so keep-alive counters are stable).
-fn drive_and_scrape(addr: &str) -> (Vec<expo::Sample>, StatsResponse, String) {
+/// Drives two `/predict` and two `/healthz` requests over one keep-alive connection, then
+/// returns the parsed samples of a `/metrics` scrape on the same connection.
+fn drive_and_scrape(addr: &str) -> Vec<expo::Sample> {
     let mut client = HttpClient::connect(addr).unwrap();
     let regions = probe_regions(0, 3);
     for i in 0..4 {
@@ -97,8 +97,6 @@ fn drive_and_scrape(addr: &str) -> (Vec<expo::Sample>, StatsResponse, String) {
         };
         assert_eq!(response.status, 200, "request {i}: {}", response.body);
     }
-    let stats: StatsResponse =
-        serde_json::from_str(&client.request("GET", "/stats", None).unwrap().body).unwrap();
     let metrics = client.request("GET", "/metrics", None).unwrap();
     assert_eq!(metrics.status, 200);
     assert_eq!(
@@ -107,8 +105,7 @@ fn drive_and_scrape(addr: &str) -> (Vec<expo::Sample>, StatsResponse, String) {
     );
     expo::validate(&metrics.body)
         .unwrap_or_else(|violations| panic!("invalid exposition: {violations:?}"));
-    let samples = expo::parse(&metrics.body).unwrap();
-    (samples, stats, metrics.body)
+    expo::parse(&metrics.body).unwrap()
 }
 
 fn value(samples: &[expo::Sample], name: &str) -> f64 {
@@ -128,12 +125,12 @@ fn labeled(samples: &[expo::Sample], name: &str, key: &str, label: &str) -> f64 
 }
 
 #[test]
-fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
+fn event_loop_metrics_record_breakdown_and_count_the_traffic() {
     let engine = quick_engine(41);
     let handle = start(&engine, obs_config());
     let addr = handle.addr().to_string();
 
-    let (samples, stats, _body) = drive_and_scrape(&addr);
+    let samples = drive_and_scrape(&addr);
 
     // The breakdown histograms were actually recorded by the transport, per stage.
     for stage in [
@@ -162,24 +159,25 @@ fn event_loop_metrics_record_breakdown_and_agree_with_stats() {
         "surf_serve_kernel_nanos_count must have observations"
     );
 
-    // `/stats` is a view over the same registry: route counters must agree exactly
-    // (the metrics scrape happened after the stats read on the same connection, and
-    // `/metrics` itself lands in the `other` family only after being counted).
+    // This server saw only the requests above, and a route is counted before its
+    // response is sent, so the route counters are exact. `/metrics` itself lands in the
+    // `other` family only after it renders.
     assert_eq!(
         labeled(&samples, "surf_serve_requests_total", "route", "/predict"),
-        stats.predict.requests as f64
+        2.0
     );
     assert_eq!(
         labeled(&samples, "surf_serve_errors_total", "route", "/predict"),
-        stats.predict.errors as f64
+        0.0
     );
-    // The `/metrics` request is itself the next keep-alive reuse on this connection
-    // (counted at parse, before the scrape renders), so the scrape runs one ahead of
-    // the `/stats` snapshot taken one request earlier.
     assert_eq!(
-        value(&samples, "surf_serve_keepalive_reuses_total"),
-        (stats.keepalive_reuses + 1) as f64
+        labeled(&samples, "surf_serve_requests_total", "route", "other"),
+        2.0
     );
+    // Every request after the first on the connection is a reuse, the scrape included
+    // (counted at parse, before it renders).
+    assert_eq!(value(&samples, "surf_serve_keepalive_reuses_total"), 4.0);
+    assert_eq!(value(&samples, "surf_serve_workers"), 2.0);
     // The process-global training spans ride along in the same exposition (the engine
     // above was trained in this process).
     assert!(
@@ -288,11 +286,14 @@ fn trace_endpoint_serves_sampled_spans() {
     handle.shutdown();
 }
 
+/// A server that samples no request still records every instrument: the route counters
+/// and the latency-breakdown histograms move, while `/trace` reports sampling off and
+/// holds nothing.
 #[test]
-fn disabled_observability_still_serves_consistent_endpoints() {
+fn unsampled_server_still_records_metrics_and_serves_an_empty_trace() {
     let engine = quick_engine(53);
     let mut config = obs_config();
-    config.obs = ObsConfig::disabled();
+    config.obs.trace_sample_every = 0;
     let handle = start(&engine, config);
     let addr = handle.addr().to_string();
 
@@ -303,11 +304,6 @@ fn disabled_observability_still_serves_consistent_endpoints() {
         .unwrap();
     assert_eq!(response.status, 200);
 
-    // Counters still move (same atomics `/stats` always read); the exposition stays
-    // valid; the gated histograms record nothing.
-    let stats: StatsResponse =
-        serde_json::from_str(&client.request("GET", "/stats", None).unwrap().body).unwrap();
-    assert_eq!(stats.predict.requests, 1);
     let metrics = client.request("GET", "/metrics", None).unwrap();
     expo::validate(&metrics.body)
         .unwrap_or_else(|violations| panic!("invalid exposition: {violations:?}"));
@@ -316,12 +312,19 @@ fn disabled_observability_still_serves_consistent_endpoints() {
         labeled(&samples, "surf_serve_requests_total", "route", "/predict"),
         1.0
     );
-    assert_eq!(value(&samples, "surf_serve_recv_parse_nanos_count"), 0.0);
-    assert_eq!(value(&samples, "surf_serve_queue_wait_nanos_count"), 0.0);
+    for stage in [
+        "surf_serve_recv_parse_nanos_count",
+        "surf_serve_queue_wait_nanos_count",
+        "surf_serve_kernel_nanos_count",
+        "surf_serve_write_flush_nanos_count",
+    ] {
+        assert!(value(&samples, stage) > 0.0, "{stage} recorded nothing");
+    }
 
     let trace = client.request("GET", "/trace", None).unwrap();
     let parsed: Value = serde_json::from_str(&trace.body).unwrap();
     assert_eq!(parsed.get("enabled"), Some(&Value::Bool(false)));
+    assert_eq!(parsed.get("sample_every").and_then(Value::as_u64), Some(0));
     match parsed.get("samples") {
         Some(Value::Array(samples)) => assert!(samples.is_empty()),
         other => panic!("trace body missing `samples` array: {other:?}"),

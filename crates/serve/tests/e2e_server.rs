@@ -2,7 +2,7 @@
 //! → register → serve on an ephemeral port → query over real TCP.
 //!
 //! Covers the happy paths (`/predict` single + batch, `/mine`, `/models`, `/healthz`,
-//! `/stats`), the error paths (malformed JSON, unknown model, unknown route, wrong method,
+//! `/metrics`), the error paths (malformed JSON, unknown model, unknown route, wrong method,
 //! oversized body, invalid regions), ≥ 8 concurrent clients receiving correct answers,
 //! hot-swapping a model, and regions closer than 1e-9 that each get their own prediction.
 
@@ -13,11 +13,11 @@ use surf_core::{Surf, SurfConfig, Surrogate};
 use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
+use surf_obs::expo;
 use surf_optim::gso::GsoParams;
 use surf_serve::http::http_request;
 use surf_serve::routes::{
     HealthResponse, MineResponse, ModelsResponse, PredictRequest, PredictResponse, RegionSpec,
-    StatsResponse,
 };
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
 
@@ -85,6 +85,30 @@ fn predict_body(model: &str, regions: &[Region]) -> String {
         },
     };
     serde_json::to_string(&request).unwrap()
+}
+
+/// Scrapes `/metrics` and returns its parsed samples.
+fn scrape(addr: &str) -> Vec<expo::Sample> {
+    let (status, body) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    expo::parse(&body).unwrap()
+}
+
+/// The value of the sample `name` whose labels are exactly `labels`.
+fn metric(samples: &[expo::Sample], name: &str, labels: &[(&str, &str)]) -> u64 {
+    samples
+        .iter()
+        .find(|s| {
+            s.name == name
+                && s.labels.len() == labels.len()
+                && labels.iter().all(|&(k, v)| s.label(k) == Some(v))
+        })
+        .unwrap_or_else(|| panic!("sample `{name}{labels:?}` missing"))
+        .value as u64
+}
+
+fn route_count(samples: &[expo::Sample], name: &str, route: &str) -> u64 {
+    metric(samples, name, &[("route", route)])
 }
 
 fn error_code(body: &str) -> String {
@@ -193,7 +217,7 @@ fn end_to_end_serving() {
     assert!(mined.outcome.regions.len() <= 1);
 
     // --- concurrent clients: correct answers, counted requests --------------------------
-    let stats_before: StatsResponse = serde_json::from_str(&get(&addr, "/stats").1).unwrap();
+    let before = scrape(&addr);
     let clients = 10u64;
     let requests_per_client = 6u64;
     let expected = local_engine.surrogate().predict(&probe);
@@ -211,13 +235,18 @@ fn end_to_end_serving() {
             });
         }
     });
-    let stats_after: StatsResponse = serde_json::from_str(&get(&addr, "/stats").1).unwrap();
+    let after = scrape(&addr);
+    let requests = "surf_serve_requests_total";
+    let errors = "surf_serve_errors_total";
     assert_eq!(
-        stats_after.predict.requests - stats_before.predict.requests,
+        route_count(&after, requests, "/predict") - route_count(&before, requests, "/predict"),
         clients * requests_per_client
     );
-    assert_eq!(stats_after.predict.errors, stats_before.predict.errors);
-    assert!(stats_after.workers == 8);
+    assert_eq!(
+        route_count(&after, errors, "/predict"),
+        route_count(&before, errors, "/predict")
+    );
+    assert_eq!(metric(&after, "surf_serve_workers", &[]), 8);
 
     // --- error paths --------------------------------------------------------------------
     let (status, body) = post(&addr, "/predict", "{not json");
@@ -232,9 +261,11 @@ fn end_to_end_serving() {
     assert_eq!(status, 404);
     assert_eq!(error_code(&body), "not_found");
 
-    let (status, body) = get(&addr, "/nonexistent");
-    assert_eq!(status, 404);
-    assert_eq!(error_code(&body), "not_found");
+    for unknown in ["/nonexistent", "/stats"] {
+        let (status, body) = get(&addr, unknown);
+        assert_eq!(status, 404, "{unknown}: {body}");
+        assert_eq!(error_code(&body), "not_found");
+    }
 
     let (status, body) = get(&addr, "/predict");
     assert_eq!(status, 405);
@@ -272,13 +303,13 @@ fn end_to_end_serving() {
     assert_eq!(error_code(&body), "payload_too_large");
 
     // Errors were counted, and the server still answers.
-    let stats: StatsResponse = serde_json::from_str(&get(&addr, "/stats").1).unwrap();
+    let samples = scrape(&addr);
     // Malformed JSON, unknown model, missing region, invalid half, wrong dims, 405: all
     // attributed to the /predict bucket.
-    assert!(stats.predict.errors >= 5, "{:?}", stats.predict);
-    assert!(stats.mine.errors >= 1, "{:?}", stats.mine);
-    // Unknown route + oversized body land in the catch-all bucket.
-    assert!(stats.other.errors >= 2, "{:?}", stats.other);
+    assert!(route_count(&samples, errors, "/predict") >= 5);
+    assert!(route_count(&samples, errors, "/mine") >= 1);
+    // Unknown routes + oversized body land in the catch-all bucket.
+    assert!(route_count(&samples, errors, "other") >= 3);
     let (status, _) = get(&addr, "/healthz");
     assert_eq!(status, 200);
 

@@ -11,9 +11,10 @@ use surf_core::{Surf, SurfConfig, Surrogate};
 use surf_data::region::Region;
 use surf_data::statistic::Statistic;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
+use surf_obs::expo;
 use surf_optim::gso::GsoParams;
 use surf_serve::http::HttpClient;
-use surf_serve::routes::{PredictRequest, PredictResponse, RegionSpec, StatsResponse};
+use surf_serve::routes::{PredictRequest, PredictResponse, RegionSpec};
 use surf_serve::{serve, ModelArtifact, ModelRegistry, ServerConfig, ServerHandle};
 
 fn quick_engine(seed: u64) -> Surf {
@@ -75,6 +76,23 @@ fn probe_regions(offset: usize, count: usize) -> Vec<Region> {
         .collect()
 }
 
+/// Scrapes `/metrics` over `client`'s connection and returns the value of the sample
+/// `name` whose labels are exactly `labels`.
+fn scraped(client: &mut HttpClient, name: &str, labels: &[(&str, &str)]) -> u64 {
+    let metrics = client.request("GET", "/metrics", None).unwrap();
+    assert_eq!(metrics.status, 200);
+    expo::parse(&metrics.body)
+        .unwrap()
+        .iter()
+        .find(|s| {
+            s.name == name
+                && s.labels.len() == labels.len()
+                && labels.iter().all(|&(k, v)| s.label(k) == Some(v))
+        })
+        .unwrap_or_else(|| panic!("sample `{name}{labels:?}` missing"))
+        .value as u64
+}
+
 #[test]
 fn keep_alive_connection_serves_a_request_sequence() {
     let engine = quick_engine(31);
@@ -95,14 +113,13 @@ fn keep_alive_connection_serves_a_request_sequence() {
         assert_eq!(response.header("connection"), Some("keep-alive"));
     }
 
-    let stats: StatsResponse =
-        serde_json::from_str(&client.request("GET", "/stats", None).unwrap().body).unwrap();
-    assert!(
-        stats.keepalive_reuses >= 5,
-        "six requests on one connection should count ≥5 reuses, got {}",
-        stats.keepalive_reuses
+    // The scrape is the sixth request on this connection, counted as a reuse at parse,
+    // before it renders; the client's connection is the server's only one.
+    assert_eq!(
+        scraped(&mut client, "surf_serve_keepalive_reuses_total", &[]),
+        5
     );
-    assert!(stats.open_connections >= 1);
+    assert_eq!(scraped(&mut client, "surf_serve_open_connections", &[]), 1);
     handle.shutdown();
 }
 
@@ -223,9 +240,14 @@ fn admission_control_answers_503_with_retry_after() {
 
     // Cheap routes stay up, on the same connection.
     assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
-    let stats: StatsResponse =
-        serde_json::from_str(&client.request("GET", "/stats", None).unwrap().body).unwrap();
-    assert!(stats.admission_rejects >= 1);
+    assert_eq!(
+        scraped(
+            &mut client,
+            "surf_serve_admission_rejects_total",
+            &[("cause", "queue")]
+        ),
+        1
+    );
     handle.shutdown();
 }
 

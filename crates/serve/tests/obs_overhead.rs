@@ -1,7 +1,8 @@
-//! Overhead smoke test: full instrumentation (metrics + per-request tracing) must not
-//! meaningfully slow the serving hot path. The bound is deliberately generous — this is a
-//! tripwire for accidental O(request) work (a lock on the hot path, an allocation storm,
-//! a syscall per counter), not a micro-benchmark; CI boxes are noisy.
+//! Overhead smoke test: tracing every request must not meaningfully slow the serving hot
+//! path against tracing none (metrics record on both servers). The bound is deliberately
+//! generous — this is a tripwire for accidental O(request) work in the flight recorder (a
+//! lock on the hot path, an allocation storm, a syscall per span), not a micro-benchmark;
+//! CI boxes are noisy.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,13 +10,16 @@ use std::time::{Duration, Instant};
 use surf_serve::http::HttpClient;
 use surf_serve::{serve, ModelRegistry, ObsConfig, ServerConfig, ServerHandle};
 
-fn start(obs: ObsConfig) -> ServerHandle {
+fn start(trace_sample_every: u64) -> ServerHandle {
     let registry = Arc::new(ModelRegistry::new());
     serve(
         registry,
         &ServerConfig {
             workers: 2,
-            obs,
+            obs: ObsConfig {
+                trace_sample_every,
+                ..ObsConfig::default()
+            },
             ..ServerConfig::default()
         },
     )
@@ -43,23 +47,21 @@ fn full_instrumentation_stays_within_overhead_budget() {
     let n = 300;
     let rounds = 3;
 
-    let instrumented = start(ObsConfig {
-        trace_sample_every: 1, // worst case: every request assembles a trace
-        ..ObsConfig::default()
-    });
-    let instrumented_time = best_time(&instrumented.addr().to_string(), n, rounds);
-    instrumented.shutdown();
+    // Worst case: every request assembles a trace.
+    let traced = start(1);
+    let traced_time = best_time(&traced.addr().to_string(), n, rounds);
+    traced.shutdown();
 
-    let disabled = start(ObsConfig::disabled());
-    let disabled_time = best_time(&disabled.addr().to_string(), n, rounds);
-    disabled.shutdown();
+    let untraced = start(0);
+    let untraced_time = best_time(&untraced.addr().to_string(), n, rounds);
+    untraced.shutdown();
 
     // Generous: 3x plus a 30ms absolute floor so sub-millisecond baselines (everything is
     // loopback) don't turn scheduler noise into failures.
-    let budget = disabled_time * 3 + Duration::from_millis(30);
+    let budget = untraced_time * 3 + Duration::from_millis(30);
     assert!(
-        instrumented_time <= budget,
-        "instrumented {n} requests took {instrumented_time:?}, budget {budget:?} \
-         (uninstrumented baseline {disabled_time:?})"
+        traced_time <= budget,
+        "traced {n} requests took {traced_time:?}, budget {budget:?} \
+         (untraced baseline {untraced_time:?})"
     );
 }

@@ -9,7 +9,8 @@
 //! would (`ModelArtifact::load_json`), registers it into a `ModelRegistry` and serves it on
 //! an ephemeral port with the worker-pool HTTP API. It then queries `/predict` twice (both
 //! answers carry the bits of the in-process prediction), mines regions over HTTP via
-//! `/mine`, and prints the `/stats` counters before shutting the server down.
+//! `/mine`, and prints the per-route request counters of `/metrics` before shutting the
+//! server down.
 
 use std::sync::Arc;
 
@@ -96,9 +97,14 @@ fn main() {
     .expect("mine succeeds");
     println!("mine: HTTP {status}, {} bytes of outcome", response.len());
 
-    // 6. Inspect the counters and shut down cleanly.
-    let (_, stats) = http_request(&addr, "GET", "/stats", None).expect("stats succeed");
-    println!("stats: {stats}");
+    // 6. Inspect the per-route request counters and shut down cleanly.
+    let (_, metrics) = http_request(&addr, "GET", "/metrics", None).expect("metrics succeed");
+    for line in metrics
+        .lines()
+        .filter(|line| line.starts_with("surf_serve_requests_total"))
+    {
+        println!("metrics: {line}");
+    }
     handle.shutdown();
     println!("server drained and shut down");
 }
