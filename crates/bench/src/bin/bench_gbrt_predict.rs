@@ -1,12 +1,9 @@
 //! GBRT-inference performance trajectory: times batch prediction with the node-walking
 //! predictor (`Gbrt::predict`, per-tree arena walks over `Vec<Vec<f64>>` rows) against the
-//! compiled engine (`CompiledEnsemble::predict_batch`, flat row-major input, cache-blocked
-//! trees-outer/examples-inner kernel) across batch sizes N ∈ {1k, 10k, 100k} and
-//! dimensionalities d ∈ {2, 4, 8}, single-threaded and — when thread resolution yields more
-//! than one core — with the blocked kernel fanned out over threads (a `_mt` rung at one
-//! resolved thread would just re-measure the single-thread path plus scoping overhead, so
-//! it is skipped). The compiled outputs are asserted bit-identical to the walker's before
-//! either is reported. A swarm-iteration end-to-end case additionally times a full GSO
+//! compiled engine (`CompiledEnsemble::predict_batch_into`, flat row-major input,
+//! cache-blocked trees-outer/examples-inner kernel) on one thread, across batch sizes
+//! N ∈ {1k, 10k, 100k} and dimensionalities d ∈ {2, 4, 8}. The compiled outputs are
+//! asserted bit-identical to the walker's before either is reported. A swarm-iteration end-to-end case additionally times a full GSO
 //! mining run against a surrogate fitness with batching on vs. off — the serving path
 //! `/mine` exercises. Results go to `BENCH_gbrt_predict.json` in the working directory,
 //! stamped with the host's available parallelism and detected ISA, so CI can accumulate a
@@ -45,9 +42,6 @@ struct Measurement {
     batch_size: usize,
     dimensions: usize,
     engine: String,
-    /// The *resolved* thread count the engine actually ran with (multi-thread rungs are
-    /// skipped entirely when resolution yields one thread).
-    threads: usize,
     /// Mean wall-clock time per full batch prediction.
     predict_seconds: f64,
     rows_per_second: f64,
@@ -169,7 +163,6 @@ fn main() {
     );
     let dims: Vec<usize> = scale.pick(vec![2, 8], vec![2, 4, 8], vec![2, 4, 8]);
     let repetitions = scale.pick(2, 5, 10);
-    let threads = surf_ml::parallel::resolve_threads(0);
     let train_rows = scale.pick(2_000, 5_000, 5_000);
 
     // Grid-search-sized ensembles: the paper's reported default XGB setup (100 × depth 7)
@@ -196,45 +189,30 @@ fn main() {
             for &n in &sizes {
                 let (batch, _) = training_data(n, d, 41 + d as u64);
                 let flat: Vec<f64> = batch.iter().flatten().copied().collect();
+                let mut out = vec![0.0; n];
 
                 let walker_out = model.predict(&batch).expect("predicts");
-                let compiled_out = compiled.predict_batch(&flat, d).expect("predicts");
-                for (i, (c, w)) in compiled_out.iter().zip(&walker_out).enumerate() {
+                compiled
+                    .predict_batch_into(&flat, d, &mut out)
+                    .expect("predicts");
+                for (i, (c, w)) in out.iter().zip(&walker_out).enumerate() {
                     assert_eq!(c.to_bits(), w.to_bits(), "compiled diverged at row {i}");
                 }
                 let walker_seconds = time(repetitions, || model.predict(&batch).expect("predicts"));
-                let mut engines = vec![
-                    ("walker", 1usize, walker_seconds),
-                    (
-                        "compiled",
-                        1,
-                        time(repetitions, || {
-                            compiled.predict_batch(&flat, d).expect("predicts")
-                        }),
-                    ),
-                ];
-                // At one resolved thread the `_mt` rung would re-measure the single-thread
-                // path plus thread-scope overhead; skip it.
-                if threads > 1 {
-                    engines.push((
-                        "compiled_mt",
-                        threads,
-                        time(repetitions, || {
-                            compiled
-                                .predict_batch_threaded(&flat, d, threads)
-                                .expect("predicts")
-                        }),
-                    ));
-                }
+                let compiled_seconds = time(repetitions, || {
+                    compiled
+                        .predict_batch_into(&flat, d, &mut out)
+                        .expect("predicts")
+                });
+                let engines = [("walker", walker_seconds), ("compiled", compiled_seconds)];
 
-                for (engine, used_threads, seconds) in engines {
+                for (engine, seconds) in engines {
                     let speedup = walker_seconds / seconds;
                     rows.push(vec![
                         ensemble.to_string(),
                         n.to_string(),
                         d.to_string(),
                         engine.to_string(),
-                        used_threads.to_string(),
                         format!("{seconds:.5}"),
                         format!("{:.0}", n as f64 / seconds),
                         format!("{speedup:.1}x"),
@@ -246,7 +224,6 @@ fn main() {
                         batch_size: n,
                         dimensions: d,
                         engine: engine.to_string(),
-                        threads: used_threads,
                         predict_seconds: seconds,
                         rows_per_second: n as f64 / seconds,
                         speedup_vs_walker: speedup,
@@ -259,7 +236,7 @@ fn main() {
     print_table(
         "gbrt_predict (walker vs. compiled engine)",
         &[
-            "ensemble", "N", "d", "engine", "threads", "s/batch", "rows/s", "speedup",
+            "ensemble", "N", "d", "engine", "s/batch", "rows/s", "speedup",
         ],
         &rows,
     );

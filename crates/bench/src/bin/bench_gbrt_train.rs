@@ -1,6 +1,7 @@
-//! GBRT-training performance trajectory: times `Gbrt::fit` with the exact (per-node
-//! sorting) engine vs. the histogram engine (shared `FeatureMatrix` + per-node gradient
-//! histograms) across N ∈ {1k, 10k, 100k} and d ∈ {2, 4, 8}, and writes the results
+//! GBRT-training performance trajectory: times the exact reference trainer
+//! (`Gbrt::fit_exact`, per-node sorting) against the histogram trainer every pipeline uses
+//! (a shared `FeatureMatrix` + per-node gradient histograms, `Gbrt::fit_matrix_threaded` on
+//! one thread) across N ∈ {1k, 10k, 100k} and d ∈ {2, 4, 8}, and writes the results
 //! (including one-off matrix build times and speedup factors) to `BENCH_gbrt_train.json` in
 //! the working directory, stamped with the host's available parallelism and detected ISA,
 //! so CI can accumulate a perf trajectory across commits.
@@ -23,14 +24,15 @@ struct Measurement {
     data_size: usize,
     dimensions: usize,
     engine: String,
+    /// Histogram bins per feature (0 for the exact trainer, which does not quantize).
     max_bins: usize,
-    /// One-off `FeatureMatrix` quantization time (0 for the exact engine).
+    /// One-off `FeatureMatrix` quantization time (0 for the exact trainer).
     matrix_build_seconds: f64,
     /// Mean wall-clock time per full `Gbrt` fit.
     fit_seconds: f64,
-    /// Exact-engine fit time divided by this engine's on the same configuration.
+    /// Exact-trainer fit time divided by this trainer's on the same configuration.
     speedup_vs_exact: f64,
-    /// Training RMSE after the final boosting round (fidelity check between engines).
+    /// Training RMSE after the final boosting round (fidelity check between trainers).
     final_train_rmse: f64,
 }
 
@@ -69,7 +71,7 @@ fn training_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 fn main() {
     let scale = Scale::from_args();
-    println!("# gbrt_train — exact vs. histogram training engine");
+    println!("# gbrt_train — exact reference trainer vs. histogram trainer");
 
     let sizes: Vec<usize> = scale.pick(
         vec![1_000, 10_000],
@@ -100,10 +102,11 @@ fn main() {
                     (None, 0.0)
                 };
 
-                let params = base.clone().with_max_bins(max_bins);
                 let fit_once = || match &matrix {
-                    Some(matrix) => Gbrt::fit_matrix(matrix, &y, &params).expect("fit succeeds"),
-                    None => Gbrt::fit(&x, &y, &params).expect("fit succeeds"),
+                    Some(matrix) => {
+                        Gbrt::fit_matrix_threaded(matrix, &y, &base, 1).expect("fit succeeds")
+                    }
+                    None => Gbrt::fit_exact(&x, &y, &base).expect("fit succeeds"),
                 };
                 let model = fit_once();
                 let final_train_rmse = model
@@ -145,7 +148,7 @@ fn main() {
     }
 
     print_table(
-        "gbrt_train (exact vs. histogram engine)",
+        "gbrt_train (exact reference vs. histogram trainer)",
         &[
             "N",
             "d",

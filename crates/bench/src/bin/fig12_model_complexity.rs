@@ -10,7 +10,7 @@ use surf_core::surrogate::GbrtSurrogate;
 use surf_data::iou::average_best_iou;
 use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
 use surf_data::workload::{Workload, WorkloadSpec};
-use surf_ml::cv::{cross_validate_gbrt_threaded, KFold};
+use surf_ml::cv::{cross_validate_gbrt, KFold};
 use surf_ml::gbrt::{Gbrt, GbrtParams};
 use surf_ml::metrics::rmse;
 use surf_optim::gso::GsoParams;
@@ -58,7 +58,7 @@ fn main() {
         let model = Gbrt::fit(&features, &targets, &params).expect("fit succeeds");
         let train_rmse = rmse(&targets, &model.predict(&features).expect("predict"));
         // Cross-validated RMSE, folds fanned out over the available cores.
-        let cv = cross_validate_gbrt_threaded(&features, &targets, &params, KFold::new(3, 12), 0)
+        let cv = cross_validate_gbrt(&features, &targets, &params, KFold::new(3, 12), 0)
             .expect("cross-validation succeeds");
         // Mining IoU with this surrogate.
         let surrogate =

@@ -800,6 +800,17 @@ mod tests {
         let mut bad = surf.export_state();
         bad.dimensions = 3;
         assert!(Surf::from_state(bad).is_err());
+
+        // A state whose GBRT configuration has zero bins is refused with a typed error.
+        let mut bad = surf.export_state();
+        bad.config.gbrt.max_bins = 0;
+        assert!(matches!(
+            Surf::from_state(bad),
+            Err(SurfError::Ml(MlError::InvalidParameter {
+                name: "max_bins",
+                ..
+            }))
+        ));
     }
 
     #[test]

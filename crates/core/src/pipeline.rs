@@ -30,10 +30,10 @@ pub struct SurfConfig {
     pub workload_coverage: (f64, f64),
     /// Value recorded for regions where the statistic is undefined (empty regions).
     pub empty_value: f64,
-    /// Hyper-parameters of the gradient-boosted surrogate. `gbrt.max_bins` selects the
-    /// training engine: `> 0` (default 256) quantizes the workload features once into a
-    /// shared columnar `FeatureMatrix` and trains with per-node gradient histograms;
-    /// `0` keeps the exact per-node sorting trainer.
+    /// Hyper-parameters of the gradient-boosted surrogate. The workload features are
+    /// quantized once into a shared columnar `FeatureMatrix` of `gbrt.max_bins` bins per
+    /// feature (1–65,536, default 256), and every tree is grown from per-node gradient
+    /// histograms.
     pub gbrt: GbrtParams,
     /// Run the paper's grid search with cross-validation before the final surrogate fit.
     pub hypertune: bool,
@@ -197,8 +197,8 @@ impl SurfConfigBuilder {
         self
     }
 
-    /// Sets the histogram training engine's per-feature bin cap (`GbrtParams::max_bins`);
-    /// `0` selects the exact (sorting) engine. See `surf_ml::matrix` for the trade-off.
+    /// Sets the histogram trainer's per-feature bin cap (`GbrtParams::max_bins`, 1–65,536).
+    /// See `surf_ml::matrix` for the trade-off.
     pub fn max_bins(mut self, max_bins: usize) -> Self {
         self.config.gbrt.max_bins = max_bins;
         self
@@ -442,6 +442,12 @@ mod tests {
 
         let config = SurfConfig {
             gbrt: GbrtParams::paper_default().with_max_bins(1 << 17),
+            ..SurfConfig::default()
+        };
+        assert!(config.validate().is_err());
+
+        let config = SurfConfig {
+            gbrt: GbrtParams::paper_default().with_max_bins(0),
             ..SurfConfig::default()
         };
         assert!(config.validate().is_err());

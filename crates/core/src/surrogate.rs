@@ -42,12 +42,6 @@ pub trait Surrogate: Sync {
 
     /// Data dimensionality `d` the surrogate expects.
     fn dimensions(&self) -> usize;
-
-    /// Whether evaluating the surrogate touches the underlying data (true only for the
-    /// true-function surrogate; drives the cost accounting of the comparison harness).
-    fn touches_data(&self) -> bool {
-        false
-    }
 }
 
 /// The true statistic `f`, evaluated over the dataset — expensive but exact. Evaluation is
@@ -86,10 +80,6 @@ impl Surrogate for TrueFunctionSurrogate<'_> {
     fn dimensions(&self) -> usize {
         self.dataset.dimensions()
     }
-
-    fn touches_data(&self) -> bool {
-        true
-    }
 }
 
 /// SuRF's learned surrogate `f̂`: a gradient-boosted ensemble over the `2d`-dimensional region
@@ -118,7 +108,7 @@ impl GbrtSurrogate {
                 2 * dimensions
             )));
         }
-        let compiled = model.compile()?;
+        let compiled = CompiledEnsemble::compile(&model)?;
         Ok(Self {
             model,
             compiled,
@@ -140,11 +130,6 @@ impl GbrtSurrogate {
     /// The underlying boosted ensemble (the walker form — this is what gets persisted).
     pub fn model(&self) -> &Gbrt {
         &self.model
-    }
-
-    /// The compiled ensemble that serves every prediction.
-    pub fn compiled(&self) -> &CompiledEnsemble {
-        &self.compiled
     }
 
     /// Flattens a homogeneous batch of regions, or `None` when any region's width disagrees
@@ -286,11 +271,10 @@ impl SurrogateTrainer {
 
     /// Trains a surrogate on the workload and reports training cost and held-out accuracy.
     ///
-    /// With the histogram training engine enabled (`params.max_bins > 0`, the default) the
-    /// workload features are quantized **once** into a [`FeatureMatrix`] that is shared by
-    /// reference across every grid cell and fold of the hyper-tuning search *and* the final
-    /// refit; per-node histogram construction additionally fans out over the trainer's
-    /// thread knob on large nodes.
+    /// The workload features are quantized **once** into a [`FeatureMatrix`] of
+    /// `params.max_bins` bins per feature, shared by reference across every grid cell and
+    /// fold of the hyper-tuning search *and* the final refit; per-node histogram
+    /// construction additionally fans out over the trainer's thread knob on large nodes.
     pub fn train(&self, workload: &Workload) -> Result<(GbrtSurrogate, TrainingReport), SurfError> {
         if workload.is_empty() {
             return Err(SurfError::InvalidConfig(
@@ -304,34 +288,20 @@ impl SurrogateTrainer {
         let (holdout_x, holdout_y) = holdout.to_xy();
 
         let threads = surf_ml::parallel::resolve_threads(self.threads);
-        let matrix = if self.params.max_bins > 0 {
-            Some(FeatureMatrix::from_rows_threaded(
-                &train_x,
-                self.params.max_bins,
-                threads,
-            )?)
-        } else {
-            None
-        };
+        let matrix = FeatureMatrix::from_rows_threaded(&train_x, self.params.max_bins, threads)?;
 
         let (params, combinations) = if self.hypertune {
             let folds = self.folds.clamp(2, train_x.len().max(2));
             let search = GridSearch::new(self.grid.clone(), self.params.clone())
                 .with_kfold(KFold::new(folds, self.seed))
                 .with_threads(threads);
-            let result = match &matrix {
-                Some(matrix) => search.search_matrix(matrix, &train_x, &train_y)?,
-                None => search.search(&train_x, &train_y)?,
-            };
+            let result = search.search(&matrix, &train_x, &train_y)?;
             (result.best_params().clone(), result.evaluations.len())
         } else {
             (self.params.clone(), 1)
         };
 
-        let model = match &matrix {
-            Some(matrix) => Gbrt::fit_matrix_threaded(matrix, &train_y, &params, threads)?,
-            None => Gbrt::fit(&train_x, &train_y, &params)?,
-        };
+        let model = Gbrt::fit_matrix_threaded(&matrix, &train_y, &params, threads)?;
         let holdout_rmse = if holdout_x.is_empty() {
             f64::NAN
         } else {
@@ -355,6 +325,7 @@ mod tests {
     use surf_data::synthetic::{SyntheticDataset, SyntheticSpec};
     use surf_data::workload::WorkloadSpec;
     use surf_ml::grid::GbrtGrid;
+    use surf_ml::MlError;
 
     fn density_setup() -> (SyntheticDataset, Workload) {
         let synthetic = SyntheticDataset::generate(
@@ -375,7 +346,6 @@ mod tests {
     fn true_function_surrogate_matches_direct_evaluation() {
         let (synthetic, workload) = density_setup();
         let surrogate = TrueFunctionSurrogate::new(&synthetic.dataset, Statistic::Count, 0.0);
-        assert!(surrogate.touches_data());
         assert_eq!(surrogate.dimensions(), 2);
         assert_eq!(surrogate.statistic(), Statistic::Count);
         for eval in workload.evaluations.iter().take(5) {
@@ -387,7 +357,6 @@ mod tests {
     fn trained_surrogate_tracks_the_true_function() {
         let (synthetic, workload) = density_setup();
         let (surrogate, report) = SurrogateTrainer::quick().train(&workload).unwrap();
-        assert!(!surrogate.touches_data());
         assert_eq!(surrogate.dimensions(), 2);
         assert!(report.training_examples > 0);
         assert_eq!(report.combinations_evaluated, 1);
@@ -420,30 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn exact_and_histogram_training_engines_both_serve_the_pipeline() {
+    fn zero_bins_are_rejected_before_training() {
+        // Zero bins is refused with a typed error whether or not the grid search runs.
         let (_, workload) = density_setup();
-        let histogram = SurrogateTrainer::quick();
-        assert!(
-            histogram.params.max_bins > 0,
-            "histogram engine is the default"
-        );
-        let (_, histogram_report) = histogram.train(&workload).unwrap();
-        let exact = SurrogateTrainer::quick().with_params(GbrtParams::quick().with_max_bins(0));
-        let (_, exact_report) = exact.train(&workload).unwrap();
-        // Both engines deliver surrogates in the same accuracy class (dense region counts
-        // are ~1200; both must be far below that).
-        assert!(
-            histogram_report.holdout_rmse < 600.0,
-            "histogram rmse {}",
-            histogram_report.holdout_rmse
-        );
-        assert!(
-            exact_report.holdout_rmse < 600.0,
-            "exact rmse {}",
-            exact_report.holdout_rmse
-        );
-        assert_eq!(histogram_report.chosen_params.max_bins, 256);
-        assert_eq!(exact_report.chosen_params.max_bins, 0);
+        let zero_bins = GbrtParams::quick().with_max_bins(0);
+        for hypertune in [false, true] {
+            let trainer = SurrogateTrainer::quick().with_params(zero_bins.clone());
+            let error = trainer.with_hypertune(hypertune).train(&workload).err();
+            let name = match error {
+                Some(SurfError::Ml(MlError::InvalidParameter { name, .. })) => name,
+                _ => "",
+            };
+            assert_eq!(name, "max_bins", "hypertune={hypertune}");
+        }
+        assert_eq!(SurrogateTrainer::quick().params.max_bins, 256);
     }
 
     #[test]

@@ -25,20 +25,19 @@
 //! steps always lands on (and then stays on) the correct leaf. That turns the per-node
 //! branch into a conditional move — no control dependence, no mispredictions — and makes
 //! every example's walk a straight-line dependency chain the CPU can overlap with its
-//! neighbours'. [`CompiledEnsemble::predict_batch`] exploits exactly that: input arrives as
-//! one flat row-major `&[f64]` (no per-row `Vec` indirection) and is processed in
+//! neighbours'. [`CompiledEnsemble::predict_batch_into`] exploits exactly that: input
+//! arrives as one flat row-major `&[f64]` (no per-row `Vec` indirection) and is processed in
 //! cache-sized blocks, **trees outer, examples inner**, with the inner loop interleaving a
 //! small group of examples so several independent traversal chains are in flight at once.
-//! Blocks are independent, so [`CompiledEnsemble::predict_batch_threaded`] fans them out
-//! over OS threads.
+//! The engine is immutable, so callers may run disjoint slices of one batch on several
+//! threads at once (mining's `evaluate_swarm` does).
 //!
 //! **Bit-identity.** Compilation only rearranges storage and control flow: per example the
 //! engine performs exactly the walker's comparison sequence (extra self-loop steps change
 //! nothing) and exactly the walker's accumulation order (`base + lr·t₀ + lr·t₁ + …`), so
-//! compiled predictions are bit-identical to [`crate::gbrt::Gbrt::predict_one`] /
-//! [`crate::tree::RegressionTree::predict_one`] for every input and every block/thread
-//! configuration. The `compiled_parity` property suite pins this down, NaN and ±∞ inputs
-//! included.
+//! compiled predictions are bit-identical to [`crate::gbrt::Gbrt::predict_one`] for every
+//! input and every batch split. The `compiled_parity` and `engine_parity` property suites
+//! pin this down, NaN and ±∞ inputs included.
 
 use serde::Serialize;
 
@@ -131,21 +130,17 @@ impl PackedNode {
 
 /// A fitted ensemble flattened into contiguous packed-node form for fast inference.
 ///
-/// Build one with [`CompiledEnsemble::compile`] (from a [`Gbrt`]) or
-/// [`CompiledEnsemble::from_tree`] (from a single [`RegressionTree`]); the compiled form is
-/// immutable and independent of the source model. See the [module docs](self) for the layout
-/// and the bit-identity guarantee.
+/// Build one with [`CompiledEnsemble::compile`]; the compiled form is immutable and
+/// independent of the source model. See the [module docs](self) for the layout and the
+/// bit-identity guarantee.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledEnsemble {
     /// Expected input feature width.
     features: usize,
-    /// The walker's starting value (mean target for a boosted ensemble, 0 for a plain tree).
+    /// The walker's starting value (the ensemble's mean target).
     base_prediction: f64,
-    /// Shrinkage applied to every tree's leaf value (1 for a plain tree).
+    /// Shrinkage applied to every tree's leaf value.
     learning_rate: f64,
-    /// Compiled from a bare tree: predictions are raw leaf values, with no base/shrinkage
-    /// arithmetic (keeps even the sign of zero identical to the tree walker).
-    plain: bool,
     /// All trees' nodes, concatenated in boosting order (each tree in arena order).
     nodes: Vec<PackedNode>,
     /// Node index of every tree's root.
@@ -161,47 +156,25 @@ impl CompiledEnsemble {
     /// Errors only on models this layout cannot address: more than `u16::MAX + 1` input
     /// features or more than `u32::MAX` nodes (far beyond anything the trainer produces).
     pub fn compile(model: &Gbrt) -> Result<Self, MlError> {
-        let mut compiled = Self::empty(
-            model.features(),
-            model.base_prediction(),
-            model.learning_rate(),
-            false,
-        )?;
-        for tree in model.trees() {
-            compiled.push_tree(tree)?;
-        }
-        Ok(compiled)
-    }
-
-    /// Flattens a single fitted tree. Predictions are bit-identical to
-    /// [`RegressionTree::predict_one`].
-    pub fn from_tree(tree: &RegressionTree) -> Result<Self, MlError> {
-        let mut compiled = Self::empty(tree.features(), 0.0, 1.0, true)?;
-        compiled.push_tree(tree)?;
-        Ok(compiled)
-    }
-
-    fn empty(
-        features: usize,
-        base_prediction: f64,
-        learning_rate: f64,
-        plain: bool,
-    ) -> Result<Self, MlError> {
+        let features = model.features();
         if features > u16::MAX as usize + 1 {
             return Err(MlError::InvalidParameter {
                 name: "features",
                 value: format!("{features} exceeds the compiled layout's u16 feature index"),
             });
         }
-        Ok(Self {
+        let mut compiled = Self {
             features,
-            base_prediction,
-            learning_rate,
-            plain,
+            base_prediction: model.base_prediction(),
+            learning_rate: model.learning_rate(),
             nodes: Vec::new(),
             roots: Vec::new(),
             depths: Vec::new(),
-        })
+        };
+        for tree in model.trees() {
+            compiled.push_tree(tree)?;
+        }
+        Ok(compiled)
     }
 
     /// Appends one tree's nodes (in arena order, so child indices just shift by the base).
@@ -267,9 +240,6 @@ impl CompiledEnsemble {
 
     #[inline]
     fn predict_one_prevalidated(&self, example: &[f64]) -> f64 {
-        if self.plain {
-            return self.eval_tree(self.roots[0], self.depths[0], example);
-        }
         let mut prediction = self.base_prediction;
         for (&root, &depth) in self.roots.iter().zip(&self.depths) {
             prediction += self.learning_rate * self.eval_tree(root, depth, example);
@@ -289,42 +259,6 @@ impl CompiledEnsemble {
         Ok(self.predict_one_prevalidated(example))
     }
 
-    /// Prediction using only the first `rounds` trees — the compiled counterpart of
-    /// [`Gbrt::predict_staged`] (bit-identical to it for ensembles).
-    pub fn predict_staged(&self, example: &[f64], rounds: usize) -> Result<f64, MlError> {
-        if example.len() != self.features {
-            return Err(MlError::FeatureWidthMismatch {
-                expected: self.features,
-                actual: example.len(),
-            });
-        }
-        let mut prediction = self.base_prediction;
-        for (&root, &depth) in self.roots.iter().zip(&self.depths).take(rounds) {
-            prediction += self.learning_rate * self.eval_tree(root, depth, example);
-        }
-        Ok(prediction)
-    }
-
-    /// Validates a flat row-major batch and returns its row count.
-    fn validate_batch(&self, data: &[f64], width: usize) -> Result<usize, MlError> {
-        if width != self.features {
-            return Err(MlError::FeatureWidthMismatch {
-                expected: self.features,
-                actual: width,
-            });
-        }
-        if data.len() % width != 0 {
-            return Err(MlError::InvalidParameter {
-                name: "data",
-                value: format!(
-                    "flat batch of {} values is not a multiple of width {width}",
-                    data.len()
-                ),
-            });
-        }
-        Ok(data.len() / width)
-    }
-
     /// Routes one tree over a block of rows, adding `learning_rate · leaf` to each slot.
     /// The inner loop interleaves [`GROUP`] examples so their branchless traversal chains
     /// overlap in the pipeline; per example the adds happen in exactly the walker's order,
@@ -332,15 +266,7 @@ impl CompiledEnsemble {
     // The negated comparison is the point: `!(x <= t)` routes NaN right, as the walker does.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     #[inline]
-    fn tree_over_block(
-        &self,
-        root: u32,
-        depth: u32,
-        rows: &[f64],
-        width: usize,
-        out: &mut [f64],
-        scale: Option<f64>,
-    ) {
+    fn tree_over_block(&self, root: u32, depth: u32, rows: &[f64], width: usize, out: &mut [f64]) {
         let groups = rows.chunks_exact(GROUP * width);
         let tail_rows = groups.remainder();
         let (grouped_out, tail_out) = out.split_at_mut(out.len() - tail_rows.len() / width);
@@ -358,96 +284,54 @@ impl CompiledEnsemble {
                 }
             }
             for k in 0..GROUP {
-                let leaf = self.nodes[state[k] as usize].threshold;
-                match scale {
-                    Some(lr) => out_g[k] += lr * leaf,
-                    None => out_g[k] = leaf,
-                }
+                out_g[k] += self.learning_rate * self.nodes[state[k] as usize].threshold;
             }
         }
         for (row, slot) in tail_rows.chunks_exact(width).zip(tail_out.iter_mut()) {
-            let leaf = self.eval_tree(root, depth, row);
-            match scale {
-                Some(lr) => *slot += lr * leaf,
-                None => *slot = leaf,
-            }
-        }
-    }
-
-    /// The blocked batch kernel: trees outer, examples inner.
-    fn predict_block(&self, rows: &[f64], width: usize, out: &mut [f64]) {
-        if self.plain {
-            self.tree_over_block(self.roots[0], self.depths[0], rows, width, out, None);
-            return;
-        }
-        out.fill(self.base_prediction);
-        for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-            self.tree_over_block(root, depth, rows, width, out, Some(self.learning_rate));
-        }
-    }
-
-    fn predict_blocks(&self, data: &[f64], width: usize, out: &mut [f64]) {
-        for (rows, slots) in data
-            .chunks(BATCH_BLOCK_ROWS * width)
-            .zip(out.chunks_mut(BATCH_BLOCK_ROWS))
-        {
-            self.predict_block(rows, width, slots);
+            *slot += self.learning_rate * self.eval_tree(root, depth, row);
         }
     }
 
     /// Predicts a flat row-major batch (`width` values per example), writing one prediction
-    /// per example into `out`. Empty batches are a no-op.
+    /// per example into `out` (every slot is overwritten). Empty batches are a no-op. Rows
+    /// run in cache-sized blocks, trees outer and examples inner.
     pub fn predict_batch_into(
         &self,
         data: &[f64],
         width: usize,
         out: &mut [f64],
     ) -> Result<(), MlError> {
-        let rows = self.validate_batch(data, width)?;
-        if out.len() != rows {
+        if width != self.features {
+            return Err(MlError::FeatureWidthMismatch {
+                expected: self.features,
+                actual: width,
+            });
+        }
+        if data.len() % width != 0 {
+            return Err(MlError::InvalidParameter {
+                name: "data",
+                value: format!(
+                    "flat batch of {} values is not a multiple of width {width}",
+                    data.len()
+                ),
+            });
+        }
+        if out.len() != data.len() / width {
             return Err(MlError::LengthMismatch {
-                features: rows,
+                features: data.len() / width,
                 targets: out.len(),
             });
         }
-        self.predict_blocks(data, width, out);
-        Ok(())
-    }
-
-    /// Predicts a flat row-major batch on the calling thread. See
-    /// [`CompiledEnsemble::predict_batch_threaded`] for the parallel variant.
-    pub fn predict_batch(&self, data: &[f64], width: usize) -> Result<Vec<f64>, MlError> {
-        self.predict_batch_threaded(data, width, 1)
-    }
-
-    /// Like [`CompiledEnsemble::predict_batch`], fanning cache-sized blocks out over up to
-    /// `threads` OS threads. Blocks are independent, so the result is bit-identical for
-    /// every thread count.
-    pub fn predict_batch_threaded(
-        &self,
-        data: &[f64],
-        width: usize,
-        threads: usize,
-    ) -> Result<Vec<f64>, MlError> {
-        let rows = self.validate_batch(data, width)?;
-        let mut out = vec![0.0; rows];
-        let threads = threads.max(1);
-        if threads == 1 || rows <= BATCH_BLOCK_ROWS {
-            self.predict_blocks(data, width, &mut out);
-            return Ok(out);
-        }
-        // Hand each thread a contiguous run of whole blocks.
-        let blocks_per_thread = rows.div_ceil(BATCH_BLOCK_ROWS).div_ceil(threads);
-        let rows_per_thread = blocks_per_thread * BATCH_BLOCK_ROWS;
-        std::thread::scope(|scope| {
-            for (rows_chunk, out_chunk) in data
-                .chunks(rows_per_thread * width)
-                .zip(out.chunks_mut(rows_per_thread))
-            {
-                scope.spawn(move || self.predict_blocks(rows_chunk, width, out_chunk));
+        for (rows, slots) in data
+            .chunks(BATCH_BLOCK_ROWS * width)
+            .zip(out.chunks_mut(BATCH_BLOCK_ROWS))
+        {
+            slots.fill(self.base_prediction);
+            for (&root, &depth) in self.roots.iter().zip(&self.depths) {
+                self.tree_over_block(root, depth, rows, width, slots);
             }
-        });
-        Ok(out)
+        }
+        Ok(())
     }
 }
 
@@ -455,7 +339,6 @@ impl CompiledEnsemble {
 mod tests {
     use super::*;
     use crate::gbrt::GbrtParams;
-    use crate::tree::TreeParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -480,6 +363,13 @@ mod tests {
         rows.iter().flatten().copied().collect()
     }
 
+    /// `predict_batch_into` over a fresh NaN-filled buffer sized for `data`.
+    fn batch(compiled: &CompiledEnsemble, data: &[f64], width: usize) -> Result<Vec<f64>, MlError> {
+        let mut out = vec![f64::NAN; data.len() / width];
+        compiled.predict_batch_into(data, width, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn compiled_matches_walker_bit_for_bit() {
         let (x, y) = nonlinear_data(400, 3, 1);
@@ -497,6 +387,8 @@ mod tests {
 
     #[test]
     fn batch_matches_single_for_every_thread_count() {
+        // Callers fan a batch out by handing each thread a disjoint run of rows (mining's
+        // `evaluate_swarm` does); every split reproduces the single-row predictions.
         let (x, y) = nonlinear_data(1_200, 4, 2);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick()).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
@@ -506,15 +398,21 @@ mod tests {
             .map(|row| compiled.predict_one(row).unwrap())
             .collect();
         for threads in [1usize, 2, 4, 7] {
-            let batch = compiled.predict_batch_threaded(&flat, 4, threads).unwrap();
-            assert_eq!(batch.len(), singles.len());
-            for (a, b) in batch.iter().zip(&singles) {
+            let rows_per_thread = x.len().div_ceil(threads);
+            let mut out = vec![f64::NAN; x.len()];
+            std::thread::scope(|scope| {
+                for (rows, slots) in flat
+                    .chunks(rows_per_thread * 4)
+                    .zip(out.chunks_mut(rows_per_thread))
+                {
+                    let compiled = &compiled;
+                    scope.spawn(move || compiled.predict_batch_into(rows, 4, slots).unwrap());
+                }
+            });
+            for (a, b) in out.iter().zip(&singles) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
         }
-        let mut out = vec![0.0; x.len()];
-        compiled.predict_batch_into(&flat, 4, &mut out).unwrap();
-        assert_eq!(out, singles);
     }
 
     #[test]
@@ -523,30 +421,15 @@ mod tests {
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(6)).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
         for n in [1usize, 3, 7, 8, 9, 15, 17, 255, 256, 257, 263] {
-            let (batch, _) = nonlinear_data(n, 2, 100 + n as u64);
-            let flat = flatten(&batch);
-            let got = compiled.predict_batch(&flat, 2).unwrap();
-            for (row, value) in batch.iter().zip(&got) {
+            let (rows, _) = nonlinear_data(n, 2, 100 + n as u64);
+            let got = batch(&compiled, &flatten(&rows), 2).unwrap();
+            for (row, value) in rows.iter().zip(&got) {
                 assert_eq!(
                     value.to_bits(),
                     model.predict_one(row).unwrap().to_bits(),
                     "n={n}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn plain_tree_matches_tree_walker() {
-        let (x, y) = nonlinear_data(200, 2, 3);
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
-        let compiled = CompiledEnsemble::from_tree(&tree).unwrap();
-        assert_eq!(compiled.n_trees(), 1);
-        assert_eq!(compiled.node_count(), tree.node_count());
-        let flat = flatten(&x);
-        let batch = compiled.predict_batch(&flat, 2).unwrap();
-        for (row, value) in x.iter().zip(&batch) {
-            assert_eq!(value.to_bits(), tree.predict_one(row).unwrap().to_bits());
         }
     }
 
@@ -561,21 +444,10 @@ mod tests {
             compiled.predict_one(&[5.0]).unwrap().to_bits(),
             model.predict_one(&[5.0]).unwrap().to_bits()
         );
-        let batch = compiled.predict_batch(&[1.0, 2.0, 99.0], 1).unwrap();
-        assert_eq!(batch.len(), 3);
-    }
-
-    #[test]
-    fn staged_matches_walker() {
-        let (x, y) = nonlinear_data(150, 2, 4);
-        let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(12)).unwrap();
-        let compiled = CompiledEnsemble::compile(&model).unwrap();
-        for rounds in [0usize, 1, 5, 12, 40] {
-            assert_eq!(
-                compiled.predict_staged(&x[7], rounds).unwrap().to_bits(),
-                model.predict_staged(&x[7], rounds).unwrap().to_bits()
-            );
-        }
+        assert_eq!(
+            batch(&compiled, &[1.0, 2.0, 99.0], 1).unwrap(),
+            vec![4.25; 3]
+        );
     }
 
     #[test]
@@ -583,16 +455,16 @@ mod tests {
         let (x, y) = nonlinear_data(50, 2, 5);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(2)).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
-        assert!(compiled.predict_batch(&[], 2).unwrap().is_empty());
+        assert!(batch(&compiled, &[], 2).unwrap().is_empty());
         assert!(matches!(
-            compiled.predict_batch(&[0.5, 0.5, 0.5], 3),
+            batch(&compiled, &[0.5, 0.5, 0.5], 3),
             Err(MlError::FeatureWidthMismatch {
                 expected: 2,
                 actual: 3
             })
         ));
         assert!(matches!(
-            compiled.predict_batch(&[0.5, 0.5, 0.5], 2),
+            batch(&compiled, &[0.5, 0.5, 0.5], 2),
             Err(MlError::InvalidParameter { .. })
         ));
         assert!(matches!(

@@ -1,8 +1,9 @@
 //! K-fold cross-validation.
 //!
 //! The paper hyper-tunes its surrogate models "using Grid-Search with K-fold cross validation"
-//! (Section V-A); this module provides the fold construction and a convenience scorer that
-//! reports per-fold out-of-sample RMSE of a [`Gbrt`] configuration.
+//! (Section V-A); this module provides the fold construction and a scorer that reports the
+//! per-fold out-of-sample RMSE of a [`Gbrt`] configuration, every fold training against one
+//! shared [`FeatureMatrix`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,20 +85,11 @@ impl CvScores {
     }
 }
 
-/// Cross-validates a GBRT configuration and returns the per-fold out-of-sample RMSE.
+/// Cross-validates a GBRT configuration and returns the per-fold out-of-sample RMSE. The
+/// features are quantized once into a [`FeatureMatrix`] of `params.max_bins` bins per
+/// feature, and the folds fan out over up to `threads` OS threads (`0` = automatic). Folds
+/// are independent, so the scores are identical for every thread count.
 pub fn cross_validate_gbrt(
-    features: &[Vec<f64>],
-    targets: &[f64],
-    params: &GbrtParams,
-    kfold: KFold,
-) -> Result<CvScores, MlError> {
-    cross_validate_gbrt_threaded(features, targets, params, kfold, 1)
-}
-
-/// Like [`cross_validate_gbrt`], fanning the folds out over up to `threads` OS threads
-/// (`0` = automatic). Folds are independent, so the scores are identical to the sequential
-/// run regardless of the thread count.
-pub fn cross_validate_gbrt_threaded(
     features: &[Vec<f64>],
     targets: &[f64],
     params: &GbrtParams,
@@ -107,34 +99,15 @@ pub fn cross_validate_gbrt_threaded(
     validate_xy(features, targets)?;
     params.validate()?;
     let threads = crate::parallel::resolve_threads(threads);
-    if params.max_bins > 0 {
-        // Quantize once; every fold trains against the same shared matrix.
-        let matrix = FeatureMatrix::from_rows_threaded(features, params.max_bins, threads)?;
-        return cross_validate_gbrt_matrix(&matrix, features, targets, params, kfold, threads);
-    }
-    let splits = kfold.splits(features.len())?;
-    let scored = crate::parallel::parallel_map(splits, threads, |(train_idx, test_idx)| {
-        let train_x: Vec<Vec<f64>> = train_idx.iter().map(|&i| features[i].clone()).collect();
-        let train_y: Vec<f64> = train_idx.iter().map(|&i| targets[i]).collect();
-        let test_x: Vec<Vec<f64>> = test_idx.iter().map(|&i| features[i].clone()).collect();
-        let test_y: Vec<f64> = test_idx.iter().map(|&i| targets[i]).collect();
-        let model = Gbrt::fit(&train_x, &train_y, params)?;
-        let predictions = model.predict(&test_x)?;
-        Ok(rmse(&test_y, &predictions))
-    });
-    let mut fold_rmse = Vec::with_capacity(scored.len());
-    for score in scored {
-        fold_rmse.push(score?);
-    }
-    Ok(CvScores { fold_rmse })
+    let matrix = FeatureMatrix::from_rows_threaded(features, params.max_bins, threads)?;
+    cross_validate_gbrt_matrix(&matrix, features, targets, params, kfold, threads)
 }
 
 /// Cross-validates a GBRT configuration against a pre-built, shared [`FeatureMatrix`]
-/// (quantized once per dataset — the histogram engine's whole point). Folds fan out over up
-/// to `threads` OS threads; each fold trains on its subset of matrix rows via
-/// [`Gbrt::fit_matrix_on`] and scores its test rows on the raw `features`. Scores are
-/// identical for every thread count.
-pub fn cross_validate_gbrt_matrix(
+/// (quantized once per dataset — the histogram trainer's whole point). Folds fan out over up
+/// to `threads` OS threads; each fold trains on its subset of matrix rows and scores its
+/// test rows on the raw `features`. Scores are identical for every thread count.
+pub(crate) fn cross_validate_gbrt_matrix(
     matrix: &FeatureMatrix,
     features: &[Vec<f64>],
     targets: &[f64],
@@ -156,7 +129,7 @@ pub fn cross_validate_gbrt_matrix(
     let splits = kfold.splits(features.len())?;
     let threads = crate::parallel::resolve_threads(threads);
     let scored = crate::parallel::parallel_map(splits, threads, |(train_idx, test_idx)| {
-        let model = Gbrt::fit_matrix_on(matrix, targets, train_idx, params)?;
+        let model = Gbrt::fit_matrix_on_threaded(matrix, targets, train_idx, params, 1)?;
         let test_x: Vec<Vec<f64>> = test_idx.iter().map(|&i| features[i].clone()).collect();
         let test_y: Vec<f64> = test_idx.iter().map(|&i| targets[i]).collect();
         let predictions = model.predict(&test_x)?;
@@ -221,9 +194,8 @@ mod tests {
             .map(|_| vec![rng.random::<f64>(), rng.random::<f64>()])
             .collect();
         let targets: Vec<f64> = features.iter().map(|x| 2.0 * x[0] + x[1]).collect();
-        let scores =
-            cross_validate_gbrt(&features, &targets, &GbrtParams::quick(), KFold::new(4, 7))
-                .unwrap();
+        let (params, kfold) = (GbrtParams::quick(), KFold::new(4, 7));
+        let scores = cross_validate_gbrt(&features, &targets, &params, kfold, 1).unwrap();
         assert_eq!(scores.fold_rmse.len(), 4);
         // Targets span roughly [0, 3]; a useful model should be well below the target spread.
         assert!(scores.mean_rmse() < 0.5, "mean RMSE {}", scores.mean_rmse());
@@ -237,10 +209,10 @@ mod tests {
             .map(|_| vec![rng.random::<f64>(), rng.random::<f64>()])
             .collect();
         let targets: Vec<f64> = features.iter().map(|x| x[0] - 0.5 * x[1]).collect();
-        for params in [GbrtParams::quick(), GbrtParams::quick().with_max_bins(0)] {
+        for params in [GbrtParams::quick(), GbrtParams::quick().with_max_bins(16)] {
             let kfold = KFold::new(4, 2);
-            let seq = cross_validate_gbrt_threaded(&features, &targets, &params, kfold, 1).unwrap();
-            let par = cross_validate_gbrt_threaded(&features, &targets, &params, kfold, 4).unwrap();
+            let seq = cross_validate_gbrt(&features, &targets, &params, kfold, 1).unwrap();
+            let par = cross_validate_gbrt(&features, &targets, &params, kfold, 4).unwrap();
             assert_eq!(seq.fold_rmse, par.fold_rmse);
         }
     }
@@ -257,7 +229,7 @@ mod tests {
         let matrix = FeatureMatrix::from_rows(&features, params.max_bins).unwrap();
         let shared =
             cross_validate_gbrt_matrix(&matrix, &features, &targets, &params, kfold, 2).unwrap();
-        let internal = cross_validate_gbrt(&features, &targets, &params, kfold).unwrap();
+        let internal = cross_validate_gbrt(&features, &targets, &params, kfold, 1).unwrap();
         assert_eq!(shared.fold_rmse, internal.fold_rmse);
         // A matrix of the wrong height is rejected.
         let short = FeatureMatrix::from_rows(&features[..100], params.max_bins).unwrap();

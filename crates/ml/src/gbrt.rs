@@ -5,19 +5,18 @@
 //! paper tunes with grid search (Section V-E): `learning_rate`, `max_depth`, `n_estimators`
 //! and `reg_lambda`, plus row subsampling and early stopping on a validation split.
 //!
-//! Two training engines produce the same [`Gbrt`] model:
+//! Trees are grown by the histogram trainer: the features are quantized once into a
+//! [`FeatureMatrix`] of at most `max_bins` bins per feature, and every tree is grown by
+//! sweeping per-node gradient histograms — the LightGBM-class algorithm; see
+//! [`crate::matrix`]. [`Gbrt::fit`] builds the matrix itself; callers that fit many models on
+//! the same data (cross-validation folds, grid cells, the final refit) build it once and share
+//! it by reference through [`Gbrt::fit_matrix_threaded`].
 //!
-//! * **Histogram** (`max_bins > 0`, the default): features are quantized once into a
-//!   [`FeatureMatrix`] and every tree is grown by sweeping per-node gradient histograms —
-//!   the LightGBM-class algorithm; see [`crate::matrix`]. Callers that fit many models on
-//!   the same data (cross-validation folds, grid cells) should build the matrix themselves
-//!   and share it by reference via [`Gbrt::fit_matrix`] / [`Gbrt::fit_matrix_on`].
-//! * **Exact** (`max_bins == 0`): the seed algorithm — every feature re-sorted at every
-//!   node. Kept for reference and for workloads where exact thresholds matter.
-//!
-//! With `max_bins` at least the number of distinct values of every feature, the two engines
-//! are **bit-identical** (same trees, same histories, same predictions); the `hist_parity`
-//! property suite pins this down.
+//! [`Gbrt::fit_exact`] runs the same boosting loop over the exact sorting trainer, which
+//! re-sorts every feature at every node. It is the reference the histogram trainer is tested
+//! against, not a training option: with `max_bins` at least the number of distinct values of
+//! every feature, the two are **bit-identical** (same trees, same histories, same
+//! predictions); the `hist_parity` property suite pins this down.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +43,7 @@ pub struct GbrtParams {
     /// Fraction of features each tree may split on (`colsample_bytree`); 1.0 disables the
     /// subsampling. A fresh subset of `ceil(colsample · d)` features (at least one) is drawn
     /// per boosting round from the same seeded RNG as row subsampling, so runs are
-    /// deterministic and both training engines draw identical subsets.
+    /// deterministic and [`Gbrt::fit_exact`] draws the same subsets as [`Gbrt::fit`].
     pub colsample: f64,
     /// Minimum number of examples per leaf.
     pub min_samples_leaf: usize,
@@ -53,10 +52,10 @@ pub struct GbrtParams {
     pub early_stopping_rounds: usize,
     /// Fraction of the training data held out as the early-stopping validation split.
     pub validation_fraction: f64,
-    /// Maximum number of histogram bins per feature for the binned training engine; `0`
-    /// selects the exact (sorting) engine. Features with at most `max_bins` distinct values
-    /// are trained bit-identically to the exact engine; coarser quantization trades split
-    /// resolution for speed. Capped at 65 536 (bin ids are `u16`).
+    /// Maximum number of histogram bins per feature, in `1..=65_536` (bin ids are `u16`).
+    /// Features with at most `max_bins` distinct values are trained bit-identically to the
+    /// exact reference trainer ([`Gbrt::fit_exact`]); coarser quantization trades split
+    /// resolution for speed.
     pub max_bins: usize,
     /// RNG seed for subsampling and the validation split.
     pub seed: u64,
@@ -143,7 +142,7 @@ impl GbrtParams {
         self
     }
 
-    /// Builder-style override of the histogram bin cap (`0` = exact sorting engine).
+    /// Builder-style override of the histogram bin cap (`1..=65_536`).
     pub fn with_max_bins(mut self, max_bins: usize) -> Self {
         self.max_bins = max_bins;
         self
@@ -199,7 +198,7 @@ impl GbrtParams {
                 value: format!("{}", self.reg_lambda),
             });
         }
-        if self.max_bins > MAX_BINS_LIMIT {
+        if !(1..=MAX_BINS_LIMIT).contains(&self.max_bins) {
             return Err(MlError::InvalidParameter {
                 name: "max_bins",
                 value: self.max_bins.to_string(),
@@ -317,50 +316,38 @@ impl RoundTree {
 }
 
 impl Gbrt {
-    /// Fits the ensemble on row-major features.
-    ///
-    /// With `params.max_bins > 0` (the default) the features are quantized once into a
-    /// [`FeatureMatrix`] and trees are grown by the histogram engine; `max_bins == 0`
-    /// selects the exact sorting engine. Callers fitting many models on the same data
-    /// should build the matrix once and use [`Gbrt::fit_matrix`] instead.
+    /// Fits the ensemble on row-major features: quantizes them into a [`FeatureMatrix`] of
+    /// at most `params.max_bins` bins per feature and grows every tree with the histogram
+    /// trainer. Callers fitting many models on the same data should build the matrix once
+    /// and use [`Gbrt::fit_matrix_threaded`] instead.
     pub fn fit(
+        features: &[Vec<f64>],
+        targets: &[f64],
+        params: &GbrtParams,
+    ) -> Result<Self, MlError> {
+        let matrix = FeatureMatrix::from_rows(features, params.max_bins)?;
+        Self::fit_matrix_threaded(&matrix, targets, params, 1)
+    }
+
+    /// Fits the ensemble with the exact sorting trainer, which re-sorts every feature at
+    /// every node: the reference [`Gbrt::fit`] is tested against (`hist_parity`), not a
+    /// training option. The boosting loop, subsampling and early stopping are
+    /// [`Gbrt::fit`]'s; `params.max_bins` is validated but not used.
+    pub fn fit_exact(
         features: &[Vec<f64>],
         targets: &[f64],
         params: &GbrtParams,
     ) -> Result<Self, MlError> {
         validate_xy(features, targets)?;
         params.validate()?;
-        if params.max_bins > 0 {
-            let matrix = FeatureMatrix::from_rows(features, params.max_bins)?;
-            let rows: Vec<usize> = (0..features.len()).collect();
-            Self::fit_rows(
-                &TreeSource::Binned {
-                    matrix: &matrix,
-                    threads: 1,
-                },
-                targets,
-                &rows,
-                params,
-            )
-        } else {
-            let rows: Vec<usize> = (0..features.len()).collect();
-            Self::fit_rows(&TreeSource::Exact(features), targets, &rows, params)
-        }
+        let rows: Vec<usize> = (0..features.len()).collect();
+        Self::fit_rows(&TreeSource::Exact(features), targets, &rows, params)
     }
 
     /// Fits the ensemble on all rows of a pre-built, shared [`FeatureMatrix`]
-    /// (`params.max_bins` is ignored — the matrix's own quantization applies).
-    pub fn fit_matrix(
-        matrix: &FeatureMatrix,
-        targets: &[f64],
-        params: &GbrtParams,
-    ) -> Result<Self, MlError> {
-        Self::fit_matrix_threaded(matrix, targets, params, 1)
-    }
-
-    /// Like [`Gbrt::fit_matrix`], parallelizing per-node histogram construction over up to
-    /// `threads` OS threads on large nodes. The fitted model is identical for every thread
-    /// count.
+    /// (`params.max_bins` is validated but not used — the matrix's own quantization
+    /// applies), parallelizing per-node histogram construction over up to `threads` OS
+    /// threads on large nodes. The fitted model is identical for every thread count.
     pub fn fit_matrix_threaded(
         matrix: &FeatureMatrix,
         targets: &[f64],
@@ -374,17 +361,7 @@ impl Gbrt {
     /// Fits the ensemble on the subset of matrix rows given by `rows` — the entry point
     /// cross-validation folds use so a single quantization serves every fold. `targets` is
     /// indexed globally (one entry per matrix row).
-    pub fn fit_matrix_on(
-        matrix: &FeatureMatrix,
-        targets: &[f64],
-        rows: &[usize],
-        params: &GbrtParams,
-    ) -> Result<Self, MlError> {
-        Self::fit_matrix_on_threaded(matrix, targets, rows, params, 1)
-    }
-
-    /// [`Gbrt::fit_matrix_on`] with threaded histogram construction.
-    pub fn fit_matrix_on_threaded(
+    pub(crate) fn fit_matrix_on_threaded(
         matrix: &FeatureMatrix,
         targets: &[f64],
         rows: &[usize],
@@ -419,7 +396,7 @@ impl Gbrt {
         )
     }
 
-    /// The boosting loop shared by both engines. `rows` are the (globally indexed) rows the
+    /// The boosting loop shared by both trainers. `rows` are the (globally indexed) rows the
     /// ensemble trains and evaluates on; inputs are validated by the callers.
     fn fit_rows(
         source: &TreeSource<'_>,
@@ -477,7 +454,7 @@ impl Gbrt {
             };
 
             // Per-tree feature subsampling (`colsample`), drawn after the row sample from
-            // the same RNG stream in both engines. Sorted so the split search visits
+            // the same RNG stream in both trainers. Sorted so the split search visits
             // candidates in the full sweep's order (identical tie-breaking).
             let feature_sample: Vec<usize> = if params.colsample < 1.0 {
                 let take = ((width as f64) * params.colsample).ceil() as usize;
@@ -564,13 +541,6 @@ impl Gbrt {
         &self.trees
     }
 
-    /// Flattens the ensemble into the struct-of-arrays inference engine
-    /// ([`crate::compiled::CompiledEnsemble`]); predictions are bit-identical to the walker,
-    /// batch prediction is several times faster.
-    pub fn compile(&self) -> Result<crate::compiled::CompiledEnsemble, MlError> {
-        crate::compiled::CompiledEnsemble::compile(self)
-    }
-
     fn predict_one_prevalidated(&self, example: &[f64]) -> f64 {
         let mut prediction = self.base_prediction;
         for tree in &self.trees {
@@ -606,22 +576,6 @@ impl Gbrt {
             .iter()
             .map(|e| self.predict_one_prevalidated(e))
             .collect())
-    }
-
-    /// Prediction using only the first `rounds` trees (staged prediction, useful for learning
-    /// curves).
-    pub fn predict_staged(&self, example: &[f64], rounds: usize) -> Result<f64, MlError> {
-        if example.len() != self.features {
-            return Err(MlError::FeatureWidthMismatch {
-                expected: self.features,
-                actual: example.len(),
-            });
-        }
-        let mut prediction = self.base_prediction;
-        for tree in self.trees.iter().take(rounds) {
-            prediction += self.learning_rate * tree.predict_one_prevalidated(example);
-        }
-        Ok(prediction)
     }
 
     /// Total split gain per feature, summed over all trees.
@@ -710,17 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_prediction_with_all_rounds_matches_predict() {
-        let (x, y) = nonlinear_data(200, 5);
-        let model = Gbrt::fit(&x, &y, &GbrtParams::quick()).unwrap();
-        let full = model.predict_one(&x[0]).unwrap();
-        let staged = model.predict_staged(&x[0], model.n_trees()).unwrap();
-        assert!((full - staged).abs() < 1e-12);
-        let none = model.predict_staged(&x[0], 0).unwrap();
-        assert!((none - y.iter().sum::<f64>() / y.len() as f64).abs() < 0.5);
-    }
-
-    #[test]
     fn subsampling_still_learns() {
         let (x, y) = nonlinear_data(500, 6);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_subsample(0.5)).unwrap();
@@ -746,6 +689,11 @@ mod tests {
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_reg_lambda(-1.0)).is_err());
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_depth(0)).is_err());
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_bins(1 << 17)).is_err());
+        // Zero bins is not a bin count; both entry points refuse it.
+        let zero_bins = GbrtParams::quick().with_max_bins(0);
+        assert!(Gbrt::fit(&x, &y, &zero_bins).is_err());
+        assert!(Gbrt::fit_exact(&x, &y, &zero_bins).is_err());
+        assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_bins(MAX_BINS_LIMIT)).is_ok());
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_colsample(0.0)).is_err());
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_colsample(1.5)).is_err());
         assert!(Gbrt::fit(&x, &y, &GbrtParams::quick().with_colsample(f64::NAN)).is_err());
@@ -768,14 +716,14 @@ mod tests {
 
     #[test]
     fn colsample_bit_parity_between_engines() {
-        // Both engines draw the feature subset from the shared boosting loop, so the
-        // histogram engine stays bit-identical to the exact one under colsample.
+        // Both trainers draw the feature subset from the shared boosting loop, so the
+        // histogram trainer stays bit-identical to the exact one under colsample.
         let (x, y) = grid_data(300, 21);
         let params = GbrtParams::quick()
             .with_colsample(0.5)
             .with_subsample(0.8)
             .with_seed(6);
-        let exact = Gbrt::fit(&x, &y, &params.clone().with_max_bins(0)).unwrap();
+        let exact = Gbrt::fit_exact(&x, &y, &params).unwrap();
         let binned = Gbrt::fit(&x, &y, &params.with_max_bins(1024)).unwrap();
         assert_eq!(exact, binned);
     }
@@ -814,7 +762,7 @@ mod tests {
     #[test]
     fn histogram_engine_is_bit_identical_to_exact_on_full_resolution_bins() {
         let (x, y) = grid_data(300, 11);
-        let exact = Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_bins(0)).unwrap();
+        let exact = Gbrt::fit_exact(&x, &y, &GbrtParams::quick()).unwrap();
         let binned = Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_bins(512)).unwrap();
         assert_eq!(exact, binned);
     }
@@ -826,7 +774,7 @@ mod tests {
             .with_subsample(0.6)
             .with_early_stopping(4)
             .with_seed(3);
-        let exact = Gbrt::fit(&x, &y, &params.clone().with_max_bins(0)).unwrap();
+        let exact = Gbrt::fit_exact(&x, &y, &params).unwrap();
         let binned = Gbrt::fit(&x, &y, &params.with_max_bins(1024)).unwrap();
         assert_eq!(exact, binned);
     }
@@ -836,7 +784,7 @@ mod tests {
         let (x, y) = nonlinear_data(250, 13);
         let matrix = FeatureMatrix::from_rows(&x, 256).unwrap();
         let via_rows = Gbrt::fit(&x, &y, &GbrtParams::quick().with_max_bins(256)).unwrap();
-        let via_matrix = Gbrt::fit_matrix(&matrix, &y, &GbrtParams::quick()).unwrap();
+        let via_matrix = Gbrt::fit_matrix_threaded(&matrix, &y, &GbrtParams::quick(), 1).unwrap();
         assert_eq!(via_rows, via_matrix);
         let threaded = Gbrt::fit_matrix_threaded(&matrix, &y, &GbrtParams::quick(), 4).unwrap();
         assert_eq!(via_matrix, threaded);
@@ -852,16 +800,11 @@ mod tests {
             .collect();
         let matrix = FeatureMatrix::from_rows(&x, 128).unwrap();
         let rows: Vec<usize> = (0..100).collect();
-        let model = Gbrt::fit_matrix_on(
-            &matrix,
-            &y,
-            &rows,
-            &GbrtParams::quick().with_n_estimators(10),
-        )
-        .unwrap();
+        let params = GbrtParams::quick().with_n_estimators(10);
+        let model = Gbrt::fit_matrix_on_threaded(&matrix, &y, &rows, &params, 1).unwrap();
         assert!((model.predict_one(&[0.5]).unwrap() - 1.0).abs() < 1e-6);
-        assert!(Gbrt::fit_matrix_on(&matrix, &y, &[], &GbrtParams::quick()).is_err());
-        assert!(Gbrt::fit_matrix_on(&matrix, &y, &[500], &GbrtParams::quick()).is_err());
+        assert!(Gbrt::fit_matrix_on_threaded(&matrix, &y, &[], &params, 1).is_err());
+        assert!(Gbrt::fit_matrix_on_threaded(&matrix, &y, &[500], &params, 1).is_err());
     }
 
     #[test]

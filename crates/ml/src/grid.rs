@@ -3,11 +3,12 @@
 //! Section V-E of the paper tunes the surrogate's `learning_rate`, `max_depth`,
 //! `n_estimators` and `reg_lambda` over a 3 × 4 × 3 × 4 = 144-combination grid;
 //! [`GbrtGrid::paper_grid`] reproduces that grid and [`GridSearch`] evaluates it, optionally
-//! in parallel across OS threads.
+//! in parallel across OS threads, against one [`FeatureMatrix`] shared by every grid cell
+//! and fold.
 
 use serde::{Deserialize, Serialize};
 
-use crate::cv::{cross_validate_gbrt, cross_validate_gbrt_matrix, KFold};
+use crate::cv::{cross_validate_gbrt_matrix, KFold};
 use crate::error::MlError;
 use crate::gbrt::GbrtParams;
 use crate::matrix::FeatureMatrix;
@@ -157,39 +158,15 @@ impl GridSearch {
 
     /// Runs the search, scoring every candidate with cross-validated RMSE.
     ///
-    /// With the histogram engine enabled (`base.max_bins > 0`, inherited by every
-    /// candidate), the features are quantized **once** and the resulting
-    /// [`FeatureMatrix`] is shared by reference across all grid cells and folds.
+    /// `matrix` is `features` quantized once ([`FeatureMatrix::from_rows_threaded`]); it is
+    /// shared by reference across every grid cell and fold, and its quantization applies to
+    /// every candidate (their `max_bins`, inherited from `base`, is validated but not used).
+    /// Each fold scores its test rows on the raw `features`.
     pub fn search(
-        &self,
-        features: &[Vec<f64>],
-        targets: &[f64],
-    ) -> Result<GridSearchResult, MlError> {
-        if self.base.max_bins > 0 {
-            let matrix =
-                FeatureMatrix::from_rows_threaded(features, self.base.max_bins, self.threads)?;
-            self.search_matrix(&matrix, features, targets)
-        } else {
-            self.search_impl(features, targets, None)
-        }
-    }
-
-    /// Runs the search against a pre-built, shared [`FeatureMatrix`] (for callers that
-    /// already quantized the dataset, e.g. to reuse the matrix for the final refit).
-    pub fn search_matrix(
         &self,
         matrix: &FeatureMatrix,
         features: &[Vec<f64>],
         targets: &[f64],
-    ) -> Result<GridSearchResult, MlError> {
-        self.search_impl(features, targets, Some(matrix))
-    }
-
-    fn search_impl(
-        &self,
-        features: &[Vec<f64>],
-        targets: &[f64],
-        matrix: Option<&FeatureMatrix>,
     ) -> Result<GridSearchResult, MlError> {
         let candidates = self.grid.candidates(&self.base);
         if candidates.is_empty() {
@@ -202,12 +179,8 @@ impl GridSearch {
         let scored: Vec<Result<GridPoint, MlError>> =
             parallel_map(candidates, self.threads, |params| {
                 // Candidates already fan out across threads; folds run sequentially inside.
-                let scores = match matrix {
-                    Some(matrix) => {
-                        cross_validate_gbrt_matrix(matrix, features, targets, params, kfold, 1)?
-                    }
-                    None => cross_validate_gbrt(features, targets, params, kfold)?,
-                };
+                let scores =
+                    cross_validate_gbrt_matrix(matrix, features, targets, params, kfold, 1)?;
                 Ok(GridPoint {
                     params: params.clone(),
                     mean_rmse: scores.mean_rmse(),
@@ -245,13 +218,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    /// Regression data and its 256-bin quantization.
+    fn data(n: usize) -> (FeatureMatrix, Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(5);
         let x: Vec<Vec<f64>> = (0..n)
             .map(|_| vec![rng.random::<f64>(), rng.random::<f64>()])
             .collect();
         let y: Vec<f64> = x.iter().map(|r| (3.0 * r[0]).sin() + r[1]).collect();
-        (x, y)
+        (FeatureMatrix::from_rows(&x, 256).unwrap(), x, y)
     }
 
     #[test]
@@ -272,11 +246,11 @@ mod tests {
 
     #[test]
     fn grid_search_finds_a_reasonable_configuration() {
-        let (x, y) = data(240);
+        let (matrix, x, y) = data(240);
         let search = GridSearch::new(GbrtGrid::quick_grid(), GbrtParams::quick())
             .with_kfold(KFold::new(3, 1))
             .with_threads(2);
-        let result = search.search(&x, &y).unwrap();
+        let result = search.search(&matrix, &x, &y).unwrap();
         assert_eq!(result.evaluations.len(), 8);
         assert!(result.best_rmse() < 0.3, "best RMSE {}", result.best_rmse());
         // The best index really is the minimum.
@@ -288,7 +262,7 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_search_agree() {
-        let (x, y) = data(120);
+        let (matrix, x, y) = data(120);
         let base = GbrtParams::quick();
         let grid = GbrtGrid {
             learning_rates: vec![0.1],
@@ -299,12 +273,12 @@ mod tests {
         let seq = GridSearch::new(grid.clone(), base.clone())
             .with_kfold(KFold::new(3, 2))
             .with_threads(1)
-            .search(&x, &y)
+            .search(&matrix, &x, &y)
             .unwrap();
         let par = GridSearch::new(grid, base)
             .with_kfold(KFold::new(3, 2))
             .with_threads(4)
-            .search(&x, &y)
+            .search(&matrix, &x, &y)
             .unwrap();
         assert_eq!(seq.best_index, par.best_index);
         for (a, b) in seq.evaluations.iter().zip(&par.evaluations) {
@@ -313,34 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_matrix_search_matches_the_internal_build() {
-        let (x, y) = data(160);
-        let search = GridSearch::new(GbrtGrid::quick_grid(), GbrtParams::quick())
-            .with_kfold(KFold::new(3, 4))
-            .with_threads(2);
-        let internal = search.search(&x, &y).unwrap();
-        let matrix = FeatureMatrix::from_rows(&x, GbrtParams::quick().max_bins).unwrap();
-        let shared = search.search_matrix(&matrix, &x, &y).unwrap();
-        assert_eq!(internal, shared);
-    }
-
-    #[test]
-    fn exact_engine_grid_search_still_works() {
-        let (x, y) = data(120);
-        let base = GbrtParams::quick().with_max_bins(0);
-        let result = GridSearch::new(GbrtGrid::quick_grid(), base)
-            .with_kfold(KFold::new(3, 1))
-            .with_threads(2)
-            .search(&x, &y)
-            .unwrap();
-        assert_eq!(result.evaluations.len(), 8);
-        assert!(result.best_params().max_bins == 0);
-        assert!(result.best_rmse() < 0.4, "best RMSE {}", result.best_rmse());
-    }
-
-    #[test]
     fn empty_grid_is_rejected() {
-        let (x, y) = data(60);
+        let (matrix, x, y) = data(60);
         let grid = GbrtGrid {
             learning_rates: vec![],
             max_depths: vec![3],
@@ -348,6 +296,6 @@ mod tests {
             reg_lambdas: vec![1.0],
         };
         let search = GridSearch::new(grid, GbrtParams::quick());
-        assert!(search.search(&x, &y).is_err());
+        assert!(search.search(&matrix, &x, &y).is_err());
     }
 }

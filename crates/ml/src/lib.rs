@@ -6,15 +6,15 @@
 //!
 //! * [`matrix`] — the columnar, quantized-bin [`FeatureMatrix`] shared across folds, grid
 //!   cells and boosting rounds (built once per dataset).
-//! * [`tree`] — CART-style regression trees: the exact (sorting) trainer and the
-//!   histogram (binned) trainer that sweeps per-node gradient histograms.
+//! * [`tree`] — CART-style regression trees: the histogram (binned) trainer that sweeps
+//!   per-node gradient histograms, and the exact (sorting) trainer it is tested against.
 //! * [`gbrt`] — gradient-boosted regression trees with shrinkage, L2 leaf regularization,
-//!   row/feature subsampling and early stopping (the "XGB" surrogate of the paper). The
-//!   histogram engine (`GbrtParams::max_bins`) is the default; `max_bins = 0` selects the
-//!   exact engine.
+//!   row/feature subsampling and early stopping (the "XGB" surrogate of the paper), trained
+//!   by the histogram trainer at `GbrtParams::max_bins` (1–65,536) bins per feature.
+//!   `Gbrt::fit_exact` runs the exact trainer as the reference, not as an option.
 //! * [`compiled`] — the inference engine: fitted ensembles flatten once into contiguous
-//!   packed-node arrays ([`CompiledEnsemble`]) with blocked, parallel batch prediction,
-//!   bit-identical to the node-walking predictors, which stay as its test oracle.
+//!   packed-node arrays ([`CompiledEnsemble`]) with one blocked batch call, bit-identical to
+//!   the node-walking predictor, which stays as its test oracle.
 //! * [`kde`] — Gaussian kernel density estimation with box-probability queries (used to guide
 //!   glowworm movement, Eq. 8 of the paper).
 //! * [`cv`], [`grid`] — K-fold cross-validation and exhaustive grid search (the paper's

@@ -10,9 +10,10 @@
 //! LightGBM-class histogram algorithm.
 //!
 //! The matrix is immutable after construction and is shared **by reference** across every
-//! cross-validation fold, grid-search cell and boosting round (`surf_ml::cv`,
-//! `surf_ml::grid`, [`crate::gbrt::Gbrt::fit_matrix`]), so the quantization cost is paid a
-//! single time per dataset.
+//! cross-validation fold, grid-search cell and boosting round
+//! ([`crate::cv::cross_validate_gbrt`], [`crate::grid::GridSearch::search`],
+//! [`crate::gbrt::Gbrt::fit_matrix_threaded`]), so the quantization cost is paid a single
+//! time per dataset; [`crate::gbrt::Gbrt::fit`] builds one too.
 //!
 //! # Bin semantics
 //!
@@ -23,8 +24,10 @@
 //! `0.5 · (upper(b) + lower(b + 1))`, which strictly separates the bins. When a feature has
 //! no more than `max_bins` distinct values every distinct value receives its own bin, and the
 //! candidate thresholds coincide **exactly** with the ones the exact (sorting) trainer
-//! produces — this is what makes the histogram trainer bit-identical to the exact trainer in
-//! that regime (see the `hist_parity` property suite).
+//! produces — this is what makes the histogram trainer bit-identical to the exact reference
+//! trainer ([`crate::gbrt::Gbrt::fit_exact`]) in that regime (see the `hist_parity` property
+//! suite). At `max_bins = MAX_BINS_LIMIT` that covers any feature with at most 65,536
+//! distinct values.
 //!
 //! Non-finite feature values are rejected at construction with a typed
 //! [`MlError::NonFiniteFeature`]: NaNs would silently scramble any ordering-based split

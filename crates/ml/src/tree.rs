@@ -485,30 +485,6 @@ impl RegressionTree {
         indices: &[usize],
         params: &TreeParams,
     ) -> Result<Self, MlError> {
-        Ok(Self::fit_binned(matrix, targets, indices, params, 1)?.into_tree())
-    }
-
-    /// Histogram trainer with full input validation; `threads` parallelizes per-feature
-    /// histogram construction on large nodes (the result is identical for every count).
-    pub(crate) fn fit_binned(
-        matrix: &FeatureMatrix,
-        targets: &[f64],
-        indices: &[usize],
-        params: &TreeParams,
-        threads: usize,
-    ) -> Result<BinnedTree, MlError> {
-        let all: Vec<usize> = (0..matrix.features()).collect();
-        Self::fit_binned_validated(matrix, targets, indices, params, threads, &all)
-    }
-
-    fn fit_binned_validated(
-        matrix: &FeatureMatrix,
-        targets: &[f64],
-        indices: &[usize],
-        params: &TreeParams,
-        threads: usize,
-        feature_subset: &[usize],
-    ) -> Result<BinnedTree, MlError> {
         crate::error::validate_targets(targets)?;
         if targets.len() != matrix.rows() {
             return Err(MlError::LengthMismatch {
@@ -523,7 +499,9 @@ impl RegressionTree {
                 value: format!("row {row} out of range ({} rows)", matrix.rows()),
             });
         }
-        Self::fit_binned_prevalidated(matrix, targets, indices, params, threads, feature_subset)
+        let all: Vec<usize> = (0..matrix.features()).collect();
+        let binned = Self::fit_binned_prevalidated(matrix, targets, indices, params, 1, &all)?;
+        Ok(binned.into_tree())
     }
 
     /// Histogram trainer without input re-validation — the boosting loop validates once up
@@ -1049,8 +1027,10 @@ mod tests {
         let (x, y) = step_data();
         let matrix = FeatureMatrix::from_rows(&x, 128).unwrap();
         let indices: Vec<usize> = (0..x.len()).collect();
+        let params = TreeParams::default();
         let binned =
-            RegressionTree::fit_binned(&matrix, &y, &indices, &TreeParams::default(), 1).unwrap();
+            RegressionTree::fit_binned_prevalidated(&matrix, &y, &indices, &params, 1, &[0])
+                .unwrap();
         for (row, example) in x.iter().enumerate() {
             let via_bins = binned.predict_row(&matrix, row);
             let via_values = binned.tree.predict_one(example).unwrap();

@@ -5,9 +5,9 @@
 //! the walker's comparison sequence and accumulation order — so, unlike the trainer-parity
 //! suite (`hist_parity`), these properties need no carefully-representable lattice data:
 //! bit-identity must hold for *arbitrary* fitted models and *arbitrary* inputs, including
-//! inputs far outside the training range, for `predict_one`, `predict_batch` (at every
-//! thread count) and `predict_staged`, through single-leaf trees, deep trees and empty
-//! batches. Width mismatches must surface as typed errors, never as NaN predictions.
+//! inputs far outside the training range, for `predict_one` and `predict_batch_into`,
+//! through single-leaf trees, deep trees, one-tree ensembles and empty batches. Width
+//! mismatches must surface as typed errors, never as NaN predictions.
 //!
 //! Non-finite inputs are the routing edge: the compiled walk uses `!(x <= t)` so that NaN
 //! goes right exactly as the walker's `if x <= t { left } else { right }` does, and ±∞
@@ -15,63 +15,19 @@
 //! on batch sizes around the 16-row interleave group, where the grouped loop and the tail
 //! loop take different code.
 
+mod common;
+
+use common::{batch, flatten, non_finite_probes, probes, random_data};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use surf_ml::compiled::CompiledEnsemble;
 use surf_ml::gbrt::{Gbrt, GbrtParams};
-use surf_ml::tree::{RegressionTree, TreeParams};
 use surf_ml::MlError;
-
-/// Unstructured regression data: features in [-3, 3), a rough nonlinear target.
-fn random_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let features: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..d).map(|_| rng.random_range(-3.0..3.0)).collect())
-        .collect();
-    let targets: Vec<f64> = features
-        .iter()
-        .map(|x| {
-            x.iter()
-                .enumerate()
-                .map(|(i, v)| ((i + 2) as f64 * v).sin() + 0.25 * v * v)
-                .sum()
-        })
-        .collect();
-    (features, targets)
-}
-
-/// Probe points both inside and far outside the training range.
-fn probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-    (0..n)
-        .map(|_| (0..d).map(|_| rng.random_range(-50.0..50.0)).collect())
-        .collect()
-}
-
-/// Probe points with non-finite entries sprinkled in: every row carries at least one of
-/// NaN, +∞ or -∞ (in rotation), the rest stay finite.
-fn non_finite_probes(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
-    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
-    (0..n)
-        .map(|row| {
-            let mut values: Vec<f64> = (0..d).map(|_| rng.random_range(-10.0..10.0)).collect();
-            values[row % d] = specials[row % specials.len()];
-            values
-        })
-        .collect()
-}
-
-fn flatten(rows: &[Vec<f64>]) -> Vec<f64> {
-    rows.iter().flatten().copied().collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `predict_one` and `predict_batch` (sequential and threaded) of a compiled ensemble
-    /// are bit-identical to the boosting walker on arbitrary inputs.
+    /// `predict_one` and `predict_batch_into` of a compiled ensemble are bit-identical to
+    /// the boosting walker on arbitrary inputs.
     #[test]
     fn ensemble_bit_parity(
         n in 5usize..=120,
@@ -80,7 +36,6 @@ proptest! {
         max_depth in 1usize..=6,
         subsample in 0.6f64..=1.0,
         colsample in 0.4f64..=1.0,
-        threads in 1usize..=4,
         seed in 0u64..10_000,
     ) {
         let (x, y) = random_data(n, d, seed);
@@ -104,8 +59,7 @@ proptest! {
                 expected.to_bits()
             );
         }
-        let flat = flatten(&inputs);
-        let batch = compiled.predict_batch_threaded(&flat, d, threads).unwrap();
+        let batch = batch(&compiled, &flatten(&inputs), d).unwrap();
         prop_assert_eq!(batch.len(), walker.len());
         for (got, expected) in batch.iter().zip(&walker) {
             prop_assert_eq!(got.to_bits(), expected.to_bits());
@@ -120,7 +74,6 @@ proptest! {
         d in 1usize..=5,
         n_estimators in 1usize..=10,
         max_depth in 1usize..=6,
-        threads in 1usize..=4,
         seed in 0u64..10_000,
     ) {
         let (x, y) = random_data(n, d, seed);
@@ -141,42 +94,16 @@ proptest! {
                 expected.to_bits()
             );
         }
-        let batch = compiled
-            .predict_batch_threaded(&flatten(&inputs), d, threads)
-            .unwrap();
+        let batch = batch(&compiled, &flatten(&inputs), d).unwrap();
         prop_assert_eq!(batch.len(), walker.len());
         for (got, expected) in batch.iter().zip(&walker) {
             prop_assert_eq!(got.to_bits(), expected.to_bits());
         }
     }
 
-    /// Staged prediction (any number of rounds, including 0 and past the end) matches the
-    /// walker bit for bit.
-    #[test]
-    fn staged_bit_parity(
-        n in 10usize..=80,
-        d in 1usize..=3,
-        n_estimators in 1usize..=10,
-        rounds in 0usize..=14,
-        seed in 0u64..10_000,
-    ) {
-        let (x, y) = random_data(n, d, seed);
-        let params = GbrtParams {
-            n_estimators,
-            ..GbrtParams::quick()
-        };
-        let model = Gbrt::fit(&x, &y, &params).unwrap();
-        let compiled = CompiledEnsemble::compile(&model).unwrap();
-        for row in x.iter().take(10) {
-            prop_assert_eq!(
-                compiled.predict_staged(row, rounds).unwrap().to_bits(),
-                model.predict_staged(row, rounds).unwrap().to_bits()
-            );
-        }
-    }
-
-    /// A compiled single tree matches the tree walker bit for bit — including trees that
-    /// collapse to a single leaf (constant targets), where the root code is a leaf index.
+    /// A compiled one-tree ensemble matches both walkers bit for bit: the boosting walker
+    /// and `base + lr · leaf` through the tree walker — including trees that collapse to a
+    /// single leaf (constant targets), where the root is the leaf.
     #[test]
     fn tree_bit_parity(
         n in 2usize..=100,
@@ -190,17 +117,21 @@ proptest! {
         if constant_targets {
             y = vec![2.5; n];
         }
-        let params = TreeParams { max_depth, ..TreeParams::default() };
-        let tree = RegressionTree::fit(&x, &y, &params).unwrap();
-        let compiled = CompiledEnsemble::from_tree(&tree).unwrap();
+        let params = GbrtParams::quick().with_n_estimators(1).with_max_depth(max_depth);
+        let model = Gbrt::fit(&x, &y, &params.with_seed(seed)).unwrap();
+        let tree = &model.trees()[0];
+        let compiled = CompiledEnsemble::compile(&model).unwrap();
         prop_assert_eq!(compiled.node_count(), tree.node_count());
         if constant_targets {
             prop_assert_eq!(tree.node_count(), 1);
         }
         let inputs: Vec<Vec<f64>> = x.into_iter().chain(probes(10, d, seed)).collect();
-        let walker = tree.predict(&inputs).unwrap();
-        let batch = compiled.predict_batch(&flatten(&inputs), d).unwrap();
+        let walker = model.predict(&inputs).unwrap();
+        let batch = batch(&compiled, &flatten(&inputs), d).unwrap();
         for ((row, expected), got) in inputs.iter().zip(&walker).zip(&batch) {
+            let leaf = tree.predict_one(row).unwrap();
+            let through_tree = model.base_prediction() + model.learning_rate() * leaf;
+            prop_assert_eq!(through_tree.to_bits(), expected.to_bits());
             prop_assert_eq!(
                 compiled.predict_one(row).unwrap().to_bits(),
                 expected.to_bits()
@@ -223,28 +154,22 @@ proptest! {
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick().with_n_estimators(3)).unwrap();
         let compiled = CompiledEnsemble::compile(&model).unwrap();
 
-        prop_assert!(compiled.predict_batch(&[], d).unwrap().is_empty());
-        let mut empty_out: [f64; 0] = [];
-        prop_assert!(compiled.predict_batch_into(&[], d, &mut empty_out).is_ok());
+        prop_assert!(batch(&compiled, &[], d).unwrap().is_empty());
 
         let row = vec![0.5; wrong];
         prop_assert_eq!(
             compiled.predict_one(&row),
             Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
         );
-        prop_assert_eq!(
-            compiled.predict_staged(&row, 1),
-            Err(MlError::FeatureWidthMismatch { expected: d, actual: wrong })
-        );
         prop_assert!(matches!(
-            compiled.predict_batch(&row, wrong),
+            batch(&compiled, &row, wrong),
             Err(MlError::FeatureWidthMismatch { .. })
         ));
         // A flat buffer that is not a whole number of rows is rejected, not truncated.
         let ragged = vec![0.25; d + (d + 1)];
         if ragged.len() % d != 0 {
             prop_assert!(matches!(
-                compiled.predict_batch(&ragged, d),
+                batch(&compiled, &ragged, d),
                 Err(MlError::InvalidParameter { .. })
             ));
         }
@@ -277,7 +202,7 @@ fn tail_lanes_and_all_non_finite_rows_match_the_walker() {
             }
         }
         let walker = model.predict(&rows).unwrap();
-        let batch = compiled.predict_batch(&flatten(&rows), 3).unwrap();
+        let batch = batch(&compiled, &flatten(&rows), 3).unwrap();
         assert_eq!(batch.len(), walker.len());
         for (i, (got, expected)) in batch.iter().zip(&walker).enumerate() {
             assert_eq!(got.to_bits(), expected.to_bits(), "n={n} row={i}");

@@ -1,5 +1,8 @@
 //! Property suite: parity between the exact (sorting) and histogram (binned) GBRT trainers.
 //!
+//! The histogram trainer is the one every pipeline trains with; the exact trainer is its
+//! oracle, reached through `RegressionTree::fit` / `fit_on` and `Gbrt::fit_exact`.
+//!
 //! **Bit-identity regime.** With `max_bins` at least the number of distinct values of every
 //! feature, each bin holds exactly one distinct value, candidate thresholds coincide with the
 //! exact trainer's midpoints, and the histogram trainer is *bit-identical* to the exact one.
@@ -103,7 +106,7 @@ proptest! {
             seed,
             ..GbrtParams::default()
         };
-        let exact = Gbrt::fit(&x, &y, &params.clone().with_max_bins(0)).unwrap();
+        let exact = Gbrt::fit_exact(&x, &y, &params).unwrap();
         let binned = Gbrt::fit(&x, &y, &params.with_max_bins(64)).unwrap();
         assert_eq!(exact, binned, "n={n} d={d} depth={max_depth} seed={seed}");
     }
@@ -127,7 +130,7 @@ proptest! {
         let test_x = &x[300..];
         let test_y = &y[300..];
         let params = GbrtParams::quick();
-        let exact = Gbrt::fit(&train_x, &train_y, &params.clone().with_max_bins(0)).unwrap();
+        let exact = Gbrt::fit_exact(&train_x, &train_y, &params).unwrap();
         let coarse = Gbrt::fit(&train_x, &train_y, &params.with_max_bins(max_bins)).unwrap();
         let exact_rmse = rmse(test_y, &exact.predict(test_x).unwrap());
         let coarse_rmse = rmse(test_y, &coarse.predict(test_x).unwrap());

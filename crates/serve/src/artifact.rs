@@ -38,7 +38,10 @@ use crate::error::ServeError;
 /// engine; `5` — the compiled engine became the only one, so `inference_engine` accepts
 /// only `Compiled` (older artifacts are retrained, not migrated); `6` — the k-d tree index
 /// was removed, so `SurfConfig::index_kind` accepts only `Scan` and `Grid` (an artifact
-/// naming `KdTree` is retrained, not migrated).
+/// naming `KdTree` is retrained, not migrated). Version 6 also covers the removal of the
+/// exact training engine: the layout did not change and every default-trained artifact still
+/// loads, while one whose `gbrt.max_bins` is 0 decodes but is refused by `into_engine` as
+/// an invalid configuration.
 pub const SCHEMA_VERSION: u64 = 6;
 
 /// Descriptive metadata of a persisted surrogate, denormalized out of the fitted state so
@@ -223,5 +226,21 @@ mod tests {
         );
         assert!(ModelArtifact::from_json("{\"no_version\": true}").is_err());
         assert!(ModelArtifact::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn zero_bin_artifact_is_refused_with_a_structured_error() {
+        // An artifact with zero bins decodes (the layout allows any count), but rebuilding
+        // or registering it is a typed error, never a panic.
+        let mut artifact = ModelArtifact::from_engine("demo", &small_engine());
+        artifact.state.config.gbrt.max_bins = 0;
+        let loaded = ModelArtifact::from_json(&artifact.to_json()).unwrap();
+        assert_eq!(loaded.state.config.gbrt.max_bins, 0);
+        let refused = |err: Option<ServeError>| match err {
+            Some(ServeError::Surf(message)) => message.contains("max_bins"),
+            _ => false,
+        };
+        assert!(refused(loaded.clone().into_engine().err()));
+        assert!(refused(crate::ModelRegistry::new().register(loaded).err()));
     }
 }
