@@ -200,17 +200,6 @@ impl MethodComparison {
         )
     }
 
-    /// Runs all four methods on a synthetic dataset.
-    pub fn run_all_on_synthetic(
-        &self,
-        synthetic: &SyntheticDataset,
-    ) -> Result<Vec<MethodRun>, SurfError> {
-        Method::ALL
-            .iter()
-            .map(|&m| self.run_on_synthetic(m, synthetic))
-            .collect()
-    }
-
     fn run_surf(
         &self,
         dataset: &Dataset,

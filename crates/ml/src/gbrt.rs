@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{validate_targets, validate_xy, MlError};
 use crate::matrix::{FeatureMatrix, MAX_BINS_LIMIT};
 use crate::metrics::rmse;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{HistArena, RegressionTree, TreeParams};
 
 /// Hyper-parameters of the boosted ensemble.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -230,12 +230,14 @@ pub struct Gbrt {
 }
 
 /// Where the boosting loop sources its per-round trees from: raw rows (exact sorting
-/// trainer) or a shared quantized matrix (histogram trainer).
+/// trainer) or a shared quantized matrix (histogram trainer) with the histograms its rounds
+/// recycle.
 enum TreeSource<'a> {
     Exact(&'a [Vec<f64>]),
     Binned {
         matrix: &'a FeatureMatrix,
         threads: usize,
+        arena: HistArena,
     },
 }
 
@@ -264,7 +266,7 @@ impl TreeSource<'_> {
     /// are validated once at the public entry points, so the per-round fits skip the
     /// O(n·d) re-validation.
     fn fit_round(
-        &self,
+        &mut self,
         residuals: &[f64],
         sample: &[usize],
         feature_sample: &[usize],
@@ -280,31 +282,55 @@ impl TreeSource<'_> {
                     feature_sample,
                 )?))
             }
-            TreeSource::Binned { matrix, threads } => {
-                Ok(RoundTree::Binned(RegressionTree::fit_binned_prevalidated(
-                    matrix,
-                    residuals,
-                    sample,
-                    tree_params,
-                    *threads,
-                    feature_sample,
-                )?))
-            }
+            TreeSource::Binned {
+                matrix,
+                threads,
+                arena,
+            } => Ok(RoundTree::Binned(RegressionTree::fit_binned_prevalidated(
+                matrix,
+                residuals,
+                sample,
+                tree_params,
+                *threads,
+                feature_sample,
+                arena,
+            )?)),
         }
     }
 }
 
 impl RoundTree {
-    fn predict_row(&self, source: &TreeSource<'_>, row: usize) -> Result<f64, MlError> {
+    /// Adds `learning_rate × tree(row)` to the prediction of every row in `sample` (the
+    /// rows the round trained on), `unsampled` (training rows the round left out) and
+    /// `held_out` (the early-stopping split). The exact trainer walks the tree for every row.
+    /// The histogram trainer takes the sample's values from the leaves its rows reached
+    /// during growth and walks only the other rows: the same adds, so `Gbrt::fit_exact`
+    /// checks them against the walk.
+    fn add_to(
+        &self,
+        source: &TreeSource<'_>,
+        learning_rate: f64,
+        sample: &[usize],
+        unsampled: &[usize],
+        held_out: &[usize],
+        predictions: &mut [f64],
+    ) -> Result<(), MlError> {
+        let outside = unsampled.iter().chain(held_out);
         match (self, source) {
             (RoundTree::Exact(tree), TreeSource::Exact(features)) => {
-                tree.predict_one(&features[row])
+                for &i in sample.iter().chain(outside) {
+                    predictions[i] += learning_rate * tree.predict_one(&features[i])?;
+                }
             }
             (RoundTree::Binned(tree), TreeSource::Binned { matrix, .. }) => {
-                Ok(tree.predict_row(matrix, row))
+                tree.add_leaf_values(learning_rate, predictions);
+                for &i in outside {
+                    predictions[i] += learning_rate * tree.predict_row(matrix, i);
+                }
             }
             _ => unreachable!("round tree always matches its source"),
         }
+        Ok(())
     }
 
     fn into_tree(self) -> RegressionTree {
@@ -341,7 +367,7 @@ impl Gbrt {
         validate_xy(features, targets)?;
         params.validate()?;
         let rows: Vec<usize> = (0..features.len()).collect();
-        Self::fit_rows(&TreeSource::Exact(features), targets, &rows, params)
+        Self::fit_rows(TreeSource::Exact(features), targets, &rows, params)
     }
 
     /// Fits the ensemble on all rows of a pre-built, shared [`FeatureMatrix`]
@@ -386,9 +412,10 @@ impl Gbrt {
             });
         }
         Self::fit_rows(
-            &TreeSource::Binned {
+            TreeSource::Binned {
                 matrix,
                 threads: threads.max(1),
+                arena: HistArena::new(matrix),
             },
             targets,
             rows,
@@ -399,7 +426,7 @@ impl Gbrt {
     /// The boosting loop shared by both trainers. `rows` are the (globally indexed) rows the
     /// ensemble trains and evaluates on; inputs are validated by the callers.
     fn fit_rows(
-        source: &TreeSource<'_>,
+        mut source: TreeSource<'_>,
         targets: &[f64],
         rows: &[usize],
         params: &GbrtParams,
@@ -442,15 +469,17 @@ impl Gbrt {
                 residuals[i] = targets[i] - predictions[i];
             }
 
-            // Row subsampling (stochastic gradient boosting).
-            let sample: Vec<usize> = if params.subsample < 1.0 {
+            // Row subsampling (stochastic gradient boosting): the round trains on `sample`
+            // and leaves out `unsampled`.
+            let shuffled;
+            let (sample, unsampled) = if params.subsample < 1.0 {
                 let take = ((train_idx.len() as f64) * params.subsample).ceil() as usize;
                 let mut idx = train_idx.clone();
                 shuffle(&mut idx, &mut rng);
-                idx.truncate(take.max(1));
-                idx
+                shuffled = idx;
+                shuffled.split_at(take.clamp(1, train_idx.len()))
             } else {
-                train_idx.clone()
+                (&train_idx[..], &[][..])
             };
 
             // Per-tree feature subsampling (`colsample`), drawn after the row sample from
@@ -469,11 +498,16 @@ impl Gbrt {
 
             let obs = surf_obs::global();
             let round_span = obs.timer();
-            let tree = source.fit_round(&residuals, &sample, &feature_sample, &tree_params)?;
+            let tree = source.fit_round(&residuals, sample, &feature_sample, &tree_params)?;
             obs.record(&obs.ml_round_fit, round_span);
-            for &i in rows {
-                predictions[i] += params.learning_rate * tree.predict_row(source, i)?;
-            }
+            tree.add_to(
+                &source,
+                params.learning_rate,
+                sample,
+                unsampled,
+                &valid_idx,
+                &mut predictions,
+            )?;
             trees.push(tree.into_tree());
 
             let train_truth: Vec<f64> = train_idx.iter().map(|&i| targets[i]).collect();
@@ -791,6 +825,44 @@ mod tests {
     }
 
     #[test]
+    fn per_feature_histogram_fan_out_is_thread_invariant() {
+        // Large enough that the root and its first children fan their features out over
+        // threads, with subsampling so some rows are routed through the tree walk.
+        let (x, y) = nonlinear_data(20_000, 22);
+        assert!(x.len() * x[0].len() >= crate::tree::PARALLEL_HIST_CELLS);
+        let matrix = FeatureMatrix::from_rows(&x, 256).unwrap();
+        let params = GbrtParams::quick()
+            .with_n_estimators(6)
+            .with_subsample(0.9)
+            .with_seed(5);
+        let sequential = Gbrt::fit_matrix_threaded(&matrix, &y, &params, 1).unwrap();
+        for threads in [2, 4] {
+            let threaded = Gbrt::fit_matrix_threaded(&matrix, &y, &params, threads).unwrap();
+            assert_eq!(sequential, threaded, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn adjacent_double_rows_are_predicted_apart() {
+        // The two rows' values are adjacent doubles, whose midpoint rounds onto the larger.
+        // The split must still separate them, and the round's leaf values must be the ones
+        // prediction routes each row to.
+        let x = vec![vec![1.0 + f64::EPSILON], vec![1.0 + 2.0 * f64::EPSILON]];
+        let y = vec![0.0, 10.0];
+        let params = GbrtParams::default()
+            .with_n_estimators(1)
+            .with_learning_rate(1.0)
+            .with_reg_lambda(0.0);
+        for model in [
+            Gbrt::fit(&x, &y, &params).unwrap(),
+            Gbrt::fit_exact(&x, &y, &params).unwrap(),
+        ] {
+            assert_eq!(model.predict(&x).unwrap(), y);
+            assert_eq!(model.train_rmse_history(), &[0.0]);
+        }
+    }
+
+    #[test]
     fn fit_matrix_on_trains_only_the_requested_rows() {
         // Rows 0..100 carry signal A, rows 100..200 signal B; training on the first half
         // must ignore the second entirely.
@@ -838,6 +910,109 @@ mod tests {
         let (x, y) = nonlinear_data(50, 9);
         let model = Gbrt::fit(&x, &y, &GbrtParams::quick()).unwrap();
         assert!(model.predict_one(&[0.5]).is_err());
+    }
+
+    /// `[x, l]`-shaped training rows for a `d`-dimensional workload, built without a libm
+    /// call so their bits are the same on every platform: a box centre `x` in the unit cube
+    /// and half sides `l` in `[0.01, 0.15)`, each labelled with how many points of a seeded,
+    /// clustered cloud fall in the box.
+    fn box_workload(d: usize, rows: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cloud: Vec<Vec<f64>> = (0..1_000)
+            .map(|i| {
+                (0..d)
+                    .map(|_| {
+                        let u = rng.random::<f64>();
+                        if i % 3 == 0 {
+                            0.3 + 0.2 * u
+                        } else {
+                            u
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let features: Vec<Vec<f64>> = (0..rows)
+            .map(|_| {
+                let mut row: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+                row.extend((0..d).map(|_| 0.01 + 0.14 * rng.random::<f64>()));
+                row
+            })
+            .collect();
+        let targets = features
+            .iter()
+            .map(|row| {
+                let inside = |p: &Vec<f64>| (0..d).all(|k| (p[k] - row[k]).abs() <= row[d + k]);
+                cloud.iter().filter(|p| inside(p)).count() as f64
+            })
+            .collect();
+        (features, targets)
+    }
+
+    /// An FNV-1a fold, one 64-bit word at a time, over the bits of every node of every tree,
+    /// the base prediction and both RMSE histories.
+    fn model_digest(model: &Gbrt) -> u64 {
+        use crate::tree::Node;
+        let mut words: Vec<u64> = vec![model.base_prediction.to_bits(), model.n_trees() as u64];
+        for tree in &model.trees {
+            for node in tree.nodes() {
+                match node {
+                    Node::Leaf { value, samples } => {
+                        words.extend([0, value.to_bits(), *samples as u64]);
+                    }
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                        gain,
+                    } => words.extend([
+                        1,
+                        *feature as u64,
+                        threshold.to_bits(),
+                        *left as u64,
+                        *right as u64,
+                        gain.to_bits(),
+                    ]),
+                }
+            }
+        }
+        words.extend(model.train_rmse_history.iter().map(|v| v.to_bits()));
+        words.extend(model.validation_rmse_history.iter().map(|v| v.to_bits()));
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn paper_default_fits_in_the_coarse_bin_regime_are_pinned() {
+        // 1,600 rows with about as many distinct values per column over 256 bins: the
+        // regime `Surf::fit` trains in, which the exact-trainer parity tests do not reach.
+        // Recorded from the trainer that built and swept every node's dense histogram and
+        // walked every tree over every row; the third case adds row and column subsampling
+        // and early stopping.
+        let paper = GbrtParams::paper_default();
+        let sampled = paper
+            .clone()
+            .with_subsample(0.7)
+            .with_colsample(0.75)
+            .with_early_stopping(5)
+            .with_seed(3);
+        let pinned = [
+            (2, paper.clone(), 0x6ae0_7e44_43a0_bead_u64),
+            (4, paper, 0xb376_e91b_1465_92a2),
+            (2, sampled, 0x08e3_651c_11ef_8089),
+        ];
+        for (d, params, expected) in pinned {
+            let (x, y) = box_workload(d, 1_600, 17 + d as u64);
+            let model = Gbrt::fit(&x, &y, &params).unwrap();
+            assert_eq!(
+                model_digest(&model),
+                expected,
+                "d = {d}, subsample {}",
+                params.subsample
+            );
+        }
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //! contiguous, non-empty bins. Each bin `b` records the smallest ([`FeatureMatrix::bin_lower`])
 //! and largest ([`FeatureMatrix::bin_upper`]) raw value it contains; the split threshold
 //! between two adjacent bins `b` and `b + 1` is the midpoint
-//! `0.5 · (upper(b) + lower(b + 1))`, which strictly separates the bins. When a feature has
-//! no more than `max_bins` distinct values every distinct value receives its own bin, and the
-//! candidate thresholds coincide **exactly** with the ones the exact (sorting) trainer
-//! produces — this is what makes the histogram trainer bit-identical to the exact reference
-//! trainer ([`crate::gbrt::Gbrt::fit_exact`]) in that regime (see the `hist_parity` property
-//! suite). At `max_bins = MAX_BINS_LIMIT` that covers any feature with at most 65,536
-//! distinct values.
+//! `0.5 · (upper(b) + lower(b + 1))`, or `upper(b)` when the two edges are adjacent doubles
+//! and the midpoint rounds onto `lower(b + 1)`, so it always strictly separates the bins.
+//! When a feature has no more than `max_bins` distinct values every distinct value receives
+//! its own bin, and the candidate thresholds coincide **exactly** with the ones the exact
+//! (sorting) trainer produces — this is what makes the histogram trainer bit-identical to the
+//! exact reference trainer ([`crate::gbrt::Gbrt::fit_exact`]) in that regime (see the
+//! `hist_parity` property suite). At `max_bins = MAX_BINS_LIMIT` that covers any feature with
+//! at most 65,536 distinct values.
 //!
 //! Non-finite feature values are rejected at construction with a typed
 //! [`MlError::NonFiniteFeature`]: NaNs would silently scramble any ordering-based split
@@ -61,10 +62,7 @@ pub struct FeatureMatrix {
     features: usize,
     /// Column-major bin ids: `bins[f * rows + r]` is the bin of row `r` in feature `f`.
     bins: Vec<u16>,
-    /// Flattened histogram offsets: feature `f` owns bins `[offsets[f], offsets[f + 1])`.
-    offsets: Vec<usize>,
     cuts: Vec<FeatureCuts>,
-    max_bins: usize,
 }
 
 impl FeatureMatrix {
@@ -98,11 +96,8 @@ impl FeatureMatrix {
         });
 
         let mut bins = vec![0u16; rows * width];
-        let mut offsets = Vec::with_capacity(width + 1);
         let mut cuts = Vec::with_capacity(width);
-        offsets.push(0);
         for (f, (cut, column_bins)) in quantized.into_iter().enumerate() {
-            offsets.push(offsets[f] + cut.lowers.len());
             bins[f * rows..(f + 1) * rows].copy_from_slice(&column_bins);
             cuts.push(cut);
         }
@@ -111,9 +106,7 @@ impl FeatureMatrix {
             rows,
             features: width,
             bins,
-            offsets,
             cuts,
-            max_bins,
         })
     }
 
@@ -127,25 +120,9 @@ impl FeatureMatrix {
         self.features
     }
 
-    /// The `max_bins` cap the matrix was built with.
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
-    }
-
     /// Number of (non-empty) bins of `feature`.
     pub fn num_bins(&self, feature: usize) -> usize {
         self.cuts[feature].lowers.len()
-    }
-
-    /// Total number of bins over all features (the length of a flattened histogram).
-    pub fn total_bins(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    /// Start of `feature`'s bin range in a flattened histogram; `offset(features())` is the
-    /// total bin count.
-    pub fn offset(&self, feature: usize) -> usize {
-        self.offsets[feature]
     }
 
     /// Bin id of `row` in `feature`.
@@ -172,9 +149,14 @@ impl FeatureMatrix {
 
     /// The split threshold separating bins `left_bin` and `right_bin` of `feature`
     /// (`left_bin < right_bin`): the midpoint between `left_bin`'s largest and `right_bin`'s
-    /// smallest raw value. Rows with `value <= threshold` sit in bins `<= left_bin`.
+    /// smallest raw value, or `left_bin`'s largest value when that midpoint rounds onto
+    /// `right_bin`'s smallest. Rows with `value <= threshold` sit in bins `<= left_bin`, and
+    /// rows in bins `>= right_bin` have `value > threshold`.
     pub fn split_threshold(&self, feature: usize, left_bin: usize, right_bin: usize) -> f64 {
-        0.5 * (self.bin_upper(feature, left_bin) + self.bin_lower(feature, right_bin))
+        separating_threshold(
+            self.bin_upper(feature, left_bin),
+            self.bin_lower(feature, right_bin),
+        )
     }
 
     /// Bin a previously unseen `value` would fall into: the first bin whose upper edge is
@@ -183,6 +165,19 @@ impl FeatureMatrix {
         let uppers = &self.cuts[feature].uppers;
         let b = uppers.partition_point(|&u| u < value);
         b.min(uppers.len() - 1) as u16
+    }
+}
+
+/// The threshold a split between feature values `lo < hi` tests with `value <= threshold`:
+/// their midpoint, or `lo` when the midpoint is not below `hi`. That happens when `lo` and
+/// `hi` are adjacent doubles (the midpoint rounds onto `hi` for about one such pair in four)
+/// or when `lo + hi` overflows; a midpoint at `hi` would send both sides left.
+pub(crate) fn separating_threshold(lo: f64, hi: f64) -> f64 {
+    let mid = 0.5 * (lo + hi);
+    if mid < hi {
+        mid
+    } else {
+        lo
     }
 }
 
@@ -269,7 +264,6 @@ mod tests {
         assert_eq!(m.rows(), 5);
         assert_eq!(m.features(), 1);
         assert_eq!(m.num_bins(0), 3);
-        assert_eq!(m.total_bins(), 3);
         let bins: Vec<u16> = (0..5).map(|r| m.bin(r, 0)).collect();
         assert_eq!(bins, vec![2, 0, 1, 0, 2]);
         assert_eq!(m.bin_lower(0, 1), 2.0);
@@ -332,9 +326,6 @@ mod tests {
         let m = FeatureMatrix::from_rows(&x, 256).unwrap();
         assert_eq!(m.num_bins(0), 1);
         assert_eq!(m.num_bins(1), 2);
-        assert_eq!(m.offset(0), 0);
-        assert_eq!(m.offset(1), 1);
-        assert_eq!(m.total_bins(), 3);
         assert!((0..10).all(|r| m.bin(r, 0) == 0));
     }
 

@@ -1,10 +1,10 @@
-//! Minimal data-parallel helper built on `std::thread::scope`.
+//! Minimal data-parallel helpers built on `std::thread::scope`.
 //!
 //! Grid search (144 hyper-parameter combinations in the paper, Fig. 6), K-fold
-//! cross-validation, GSO fitness evaluation and batch region evaluation are embarrassingly
-//! parallel; this module provides the small primitive they need without pulling in a full
-//! task runtime (the build environment has no registry access, and scoped threads have been
-//! in `std` since Rust 1.63).
+//! cross-validation, GSO fitness evaluation, batch region evaluation and the per-feature
+//! histograms of large tree nodes are embarrassingly parallel; this module provides the two
+//! small primitives they need without pulling in a full task runtime (the build environment
+//! has no registry access, and scoped threads have been in `std` since Rust 1.63).
 
 use std::num::NonZeroUsize;
 
@@ -41,6 +41,27 @@ where
         .into_iter()
         .map(|r| r.expect("every slot written"))
         .collect()
+}
+
+/// Applies `f` to every item in place, fanning the items out over up to `threads` OS threads
+/// in contiguous chunks. With `threads <= 1` (or a single item) it runs inline.
+pub(crate) fn parallel_for_each<T, F>(items: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let threads = threads.max(1);
+    if threads == 1 || items.len() <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let chunk = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let f = &f;
+        for group in items.chunks_mut(chunk) {
+            scope.spawn(move || group.iter_mut().for_each(f));
+        }
+    });
 }
 
 /// Number of worker threads to use by default: the machine's available parallelism, capped at
@@ -87,6 +108,18 @@ mod tests {
         assert!(out.is_empty());
         let out = parallel_map(vec![9u64], 4, |x| x * x);
         assert_eq!(out, vec![81]);
+    }
+
+    #[test]
+    fn parallel_for_each_matches_the_inline_pass() {
+        let mut seq: Vec<u64> = (0..37).collect();
+        parallel_for_each(&mut seq, 1, |x| *x = *x * 3 + 1);
+        for threads in [2, 4, 8] {
+            let mut par: Vec<u64> = (0..37).collect();
+            parallel_for_each(&mut par, threads, |x| *x = *x * 3 + 1);
+            assert_eq!(par, seq, "{threads} threads");
+        }
+        parallel_for_each(&mut Vec::<u64>::new(), 4, |x| *x += 1);
     }
 
     #[test]

@@ -17,12 +17,32 @@
 //!   (`child = parent − other child`), so only the smaller child is ever scanned. When every
 //!   feature has at most `max_bins` distinct values the two trainers are bit-identical; see
 //!   [`crate::matrix`] for why.
+//!
+//! # What a histogram node costs
+//!
+//! A histogram node costs its rows, not the histogram's width (2d × 256 cells for a
+//! paper-default surrogate over `d` dimensions):
+//!
+//! * Only a child that will search for a split gets a histogram. A child at `max_depth` or
+//!   below `min_samples_split` is a leaf whatever its histogram says, so neither sibling is
+//!   built when neither searches. When only the larger one searches, the smaller is still
+//!   scanned and subtracted, so the larger's cells carry the same float operations either way.
+//! * Each histogram keeps a bitset of its occupied bins beside the cells. A node scans its
+//!   rows into a recycled all-zero histogram, and the sibling subtraction, the split sweep and
+//!   the clearing before reuse visit occupied bins only. The sweep skips `count == 0` cells as
+//!   a dense sweep would, so every float operation lands on the same cell in the same order.
+//! * Growth records the leaf each training row reaches, so the boosting loop adds
+//!   `learning_rate × leaf` to those rows' predictions without walking the tree again; it
+//!   walks the tree only for rows outside the round's sample.
+//!
+//! Per node that is O(rows × features) for the scan, O(rows) for the leaf sums, the partition
+//! and the row-by-row recount of the winning split's gain, and O(occupied bins) for the rest.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{validate_xy, MlError};
-use crate::matrix::FeatureMatrix;
-use crate::parallel::parallel_map;
+use crate::matrix::{separating_threshold, FeatureMatrix};
+use crate::parallel::parallel_for_each;
 
 /// Hyper-parameters of a regression tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,6 +72,14 @@ impl Default for TreeParams {
 }
 
 impl TreeParams {
+    /// Whether a node at `depth` holding `count` rows searches for a split; one that does not
+    /// is a leaf.
+    fn searches(&self, depth: usize, count: usize) -> bool {
+        depth < self.max_depth
+            && count >= self.min_samples_split
+            && count >= 2 * self.min_samples_leaf
+    }
+
     /// Validates the parameters.
     pub fn validate(&self) -> Result<(), MlError> {
         if self.max_depth == 0 {
@@ -138,12 +166,31 @@ struct HistBin {
 }
 
 /// A tree fitted by the histogram trainer, able to predict *training* rows straight from
-/// their bin ids (the boosting loop never needs the raw feature rows).
+/// their bin ids (the boosting loop never needs the raw feature rows), and knowing which leaf
+/// each row it was grown on reached.
 pub(crate) struct BinnedTree {
     tree: RegressionTree,
+    /// The rows the tree was grown on, in the order growth left them: each leaf owns one
+    /// contiguous range.
+    rows: Vec<usize>,
+    leaves: Vec<LeafSpan>,
 }
 
 impl BinnedTree {
+    /// Adds `learning_rate × leaf` to the prediction of every row the tree was grown on, from
+    /// the leaf the row reached during growth. Growth routes a row left when its bin is at
+    /// most the split's last left bin, and [`BinnedTree::predict_row`] when the bin's upper
+    /// edge is `<= threshold`: the threshold lies below the first right bin's lower edge
+    /// ([`FeatureMatrix::split_threshold`]), so for every row of the node the two agree and
+    /// this adds the same value a walk would.
+    pub(crate) fn add_leaf_values(&self, learning_rate: f64, predictions: &mut [f64]) {
+        for leaf in &self.leaves {
+            for &row in &self.rows[leaf.start..leaf.end] {
+                predictions[row] += learning_rate * leaf.value;
+            }
+        }
+    }
+
     /// Predicts the target of training row `row` by routing its bins through the tree: a row
     /// goes left when its bin's largest raw value is `<= threshold`. With one bin per
     /// distinct value that comparison *is* `value <= threshold`, so this is bit-equivalent
@@ -341,10 +388,7 @@ impl RegressionTree {
             .fold((0.0, 0usize), |(s, c), &i| (s + targets[i], c + 1));
         let leaf_value = sum / (count as f64 + params.leaf_regularization);
 
-        let should_split = depth < params.max_depth
-            && count >= params.min_samples_split
-            && count >= 2 * params.min_samples_leaf;
-        let best = if should_split {
+        let best = if params.searches(depth, count) {
             self.best_split(features, targets, indices, params, feature_subset)
         } else {
             None
@@ -359,14 +403,9 @@ impl RegressionTree {
                 self.nodes.len() - 1
             }
             Some(split) => {
-                // Partition indices in place: left part holds x[feature] <= threshold.
-                let mut left_len = 0usize;
-                for i in 0..indices.len() {
-                    if features[indices[i]][split.feature] <= split.threshold {
-                        indices.swap(i, left_len);
-                        left_len += 1;
-                    }
-                }
+                let left_len = partition(indices, |row| {
+                    features[row][split.feature] <= split.threshold
+                });
                 // Reserve the slot for this split node before recursing so the root stays at
                 // index 0.
                 let node_index = self.nodes.len();
@@ -455,7 +494,7 @@ impl RegressionTree {
                 if gain > params.min_gain && best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
                     best = Some(BestSplit {
                         feature,
-                        threshold: 0.5 * (value + next_value),
+                        threshold: separating_threshold(value, next_value),
                         gain,
                     });
                 }
@@ -500,14 +539,17 @@ impl RegressionTree {
             });
         }
         let all: Vec<usize> = (0..matrix.features()).collect();
-        let binned = Self::fit_binned_prevalidated(matrix, targets, indices, params, 1, &all)?;
+        let mut arena = HistArena::new(matrix);
+        let binned =
+            Self::fit_binned_prevalidated(matrix, targets, indices, params, 1, &all, &mut arena)?;
         Ok(binned.into_tree())
     }
 
     /// Histogram trainer without input re-validation — the boosting loop validates once up
     /// front and calls this every round (re-scanning all targets for finiteness per round
     /// would put O(n) of redundant work in the hot loop). `feature_subset` restricts the
-    /// split search to the given (sorted) features — the per-tree `colsample` draw.
+    /// split search to the given (sorted) features — the per-tree `colsample` draw. `arena`
+    /// holds `matrix`'s recycled histograms across the rounds of one fit.
     pub(crate) fn fit_binned_prevalidated(
         matrix: &FeatureMatrix,
         targets: &[f64],
@@ -515,318 +557,467 @@ impl RegressionTree {
         params: &TreeParams,
         threads: usize,
         feature_subset: &[usize],
+        arena: &mut HistArena,
     ) -> Result<BinnedTree, MlError> {
         if indices.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let mut binned = BinnedTree {
-            tree: RegressionTree {
-                nodes: Vec::new(),
-                features: matrix.features(),
-            },
-        };
-        let mut working = indices.to_vec();
-        grow_binned(
-            &mut binned,
+        let mut grower = BinnedGrower {
             matrix,
             targets,
-            &mut working,
-            None,
             params,
-            0,
             threads,
             feature_subset,
-        );
-        Ok(binned)
+            arena,
+            nodes: Vec::new(),
+            rows: indices.to_vec(),
+            leaves: Vec::new(),
+        };
+        grower.grow(0, indices.len(), None, 0);
+        Ok(BinnedTree {
+            tree: RegressionTree {
+                nodes: grower.nodes,
+                features: matrix.features(),
+            },
+            rows: grower.rows,
+            leaves: grower.leaves,
+        })
     }
 }
 
 /// Node sizes below `count × features` of this threshold build their histograms inline; the
 /// scoped-thread fan-out only pays off on large nodes.
-const PARALLEL_HIST_CELLS: usize = 1 << 15;
+pub(crate) const PARALLEL_HIST_CELLS: usize = 1 << 15;
 
-/// Builds the flattened per-feature gradient histogram of a node (layout given by the
-/// matrix's feature offsets; only `feature_subset` columns are scanned, the rest stay
-/// zeroed and produce no split candidates). Per-feature construction is independent, so
-/// the parallel path is bit-identical to the sequential one.
-fn build_histogram(
-    matrix: &FeatureMatrix,
-    targets: &[f64],
-    indices: &[usize],
-    threads: usize,
-    feature_subset: &[usize],
-) -> Vec<HistBin> {
-    let obs = surf_obs::global();
-    let span = obs.timer();
-    let d = feature_subset.len();
-    let mut hist = vec![HistBin::default(); matrix.total_bins()];
-    if threads > 1 && d > 1 && indices.len().saturating_mul(d) >= PARALLEL_HIST_CELLS {
-        let per_feature = parallel_map(feature_subset.to_vec(), threads, |&f| {
-            scan_feature(matrix, targets, indices, f)
-        });
-        for (&f, column) in feature_subset.iter().zip(per_feature) {
-            hist[matrix.offset(f)..matrix.offset(f + 1)].copy_from_slice(&column);
-        }
-    } else {
-        for &f in feature_subset {
-            let column = scan_feature(matrix, targets, indices, f);
-            hist[matrix.offset(f)..matrix.offset(f + 1)].copy_from_slice(&column);
-        }
-    }
-    obs.record(&obs.ml_hist_build, span);
-    hist
+/// Bits per word of a histogram's occupancy bitset.
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// A node's gradient histogram over every feature: one cell per bin and a bitset of the bins
+/// the node's rows occupy. Every cell outside the bitset is zero, so scanning, subtracting,
+/// sweeping and clearing cost the node's rows and occupied bins, not the histogram's width.
+///
+/// Feature `f` owns the bitset words `[words[f], words[f + 1])` of its [`HistArena`] layout
+/// and the cells from `words[f] × 64`: features never share a word, so they scan on separate
+/// threads into disjoint slices.
+struct Histogram {
+    cells: Vec<HistBin>,
+    occupied: Vec<u64>,
 }
 
-/// One feature's histogram cells for a node: a single linear pass over the node's rows.
+/// Indices of the set bits of `words`, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * WORD_BITS + bit
+            })
+        })
+    })
+}
+
+impl Histogram {
+    /// In-place sibling subtraction, `self − child`, over the child's occupied bins (a
+    /// subset of the parent's). A bin the child takes whole keeps its bit with a zero count.
+    fn subtract(&mut self, child: &Histogram) {
+        for i in set_bits(&child.occupied) {
+            let (p, c) = (&mut self.cells[i], &child.cells[i]);
+            p.count -= c.count;
+            p.sum -= c.sum;
+            p.sq -= c.sq;
+        }
+    }
+}
+
+/// The histogram trainer's working memory for one fitted model: the padded per-feature
+/// layout of a [`FeatureMatrix`]'s histograms and a pool of recycled all-zero histograms, so
+/// a boosting run allocates about one histogram per tree level, not one per node.
+pub(crate) struct HistArena {
+    /// Feature `f` owns bitset words `[words[f], words[f + 1])`.
+    words: Vec<usize>,
+    free: Vec<Histogram>,
+    /// [`BinnedGrower::winner_gain`]'s counting sort: a slot cursor per bin of the widest
+    /// feature, and the sorted left targets.
+    cursors: Vec<usize>,
+    ordered: Vec<f64>,
+}
+
+impl HistArena {
+    pub(crate) fn new(matrix: &FeatureMatrix) -> Self {
+        let mut words = vec![0];
+        for f in 0..matrix.features() {
+            words.push(words[f] + matrix.num_bins(f).div_ceil(WORD_BITS));
+        }
+        let widest = (0..matrix.features())
+            .map(|f| matrix.num_bins(f))
+            .max()
+            .unwrap_or(0);
+        Self {
+            words,
+            free: Vec::new(),
+            cursors: vec![0; widest],
+            ordered: Vec::new(),
+        }
+    }
+
+    /// An all-zero histogram.
+    fn take(&mut self) -> Histogram {
+        self.free.pop().unwrap_or_else(|| {
+            let words = *self.words.last().expect("layout never empty");
+            Histogram {
+                cells: vec![HistBin::default(); words * WORD_BITS],
+                occupied: vec![0; words],
+            }
+        })
+    }
+
+    /// Zeroes the occupied cells and the bitset, and returns the histogram to the pool.
+    fn recycle(&mut self, mut hist: Histogram) {
+        for i in set_bits(&hist.occupied) {
+            hist.cells[i] = HistBin::default();
+        }
+        hist.occupied.fill(0);
+        self.free.push(hist);
+    }
+
+    /// Splits `hist` into the cells and bitset words of each feature of `features` (sorted).
+    fn columns<'h>(
+        &self,
+        hist: &'h mut Histogram,
+        features: &[usize],
+    ) -> Vec<(usize, &'h mut [HistBin], &'h mut [u64])> {
+        let mut cells = hist.cells.as_mut_slice();
+        let mut words = hist.occupied.as_mut_slice();
+        let mut columns = Vec::with_capacity(features.len());
+        for (f, span) in self.words.windows(2).enumerate() {
+            let width = span[1] - span[0];
+            let (own_words, rest) = std::mem::take(&mut words).split_at_mut(width);
+            words = rest;
+            let (own_cells, rest) = std::mem::take(&mut cells).split_at_mut(width * WORD_BITS);
+            cells = rest;
+            if features.binary_search(&f).is_ok() {
+                columns.push((f, own_cells, own_words));
+            }
+        }
+        columns
+    }
+}
+
+/// One feature's histogram cells for a node: a single linear pass over the node's rows into
+/// all-zero cells, marking each bin it touches.
 fn scan_feature(
-    matrix: &FeatureMatrix,
+    column: &[u16],
     targets: &[f64],
-    indices: &[usize],
-    feature: usize,
-) -> Vec<HistBin> {
-    let column = matrix.column(feature);
-    let mut cells = vec![HistBin::default(); matrix.num_bins(feature)];
-    for &row in indices {
-        let cell = &mut cells[column[row] as usize];
+    rows: &[usize],
+    cells: &mut [HistBin],
+    occupied: &mut [u64],
+) {
+    for &row in rows {
+        let bin = column[row] as usize;
         let t = targets[row];
+        let cell = &mut cells[bin];
         cell.count += 1;
         cell.sum += t;
         cell.sq += t * t;
-    }
-    cells
-}
-
-/// In-place sibling subtraction: `parent − child`, cell by cell.
-fn subtract_histogram(parent: &mut [HistBin], child: &[HistBin]) {
-    for (p, c) in parent.iter_mut().zip(child) {
-        p.count -= c.count;
-        p.sum -= c.sum;
-        p.sq -= c.sq;
+        occupied[bin / WORD_BITS] |= 1 << (bin % WORD_BITS);
     }
 }
 
-/// Recursively grows the binned tree; mirrors [`RegressionTree::build`] exactly (same node
-/// arena layout, same stable partition, same gain formula and tie-breaking) but finds splits
-/// by sweeping histograms instead of sorting. `hist` is the node's histogram when the parent
-/// already derived it (`None` at the root and for nodes whose parent skipped the work).
-#[allow(clippy::too_many_arguments)]
-fn grow_binned(
-    binned: &mut BinnedTree,
-    matrix: &FeatureMatrix,
-    targets: &[f64],
-    indices: &mut [usize],
-    hist: Option<Vec<HistBin>>,
-    params: &TreeParams,
-    depth: usize,
+/// The rows of a training set that reached one leaf: `rows[start..end]` of the grower's
+/// final row order.
+struct LeafSpan {
+    value: f64,
+    start: usize,
+    end: usize,
+}
+
+/// Grows one binned tree. Mirrors [`RegressionTree::build`] exactly (same node arena layout,
+/// same partition, same gain formula and tie-breaking) but finds splits by sweeping
+/// histograms instead of sorting.
+struct BinnedGrower<'a> {
+    matrix: &'a FeatureMatrix,
+    targets: &'a [f64],
+    params: &'a TreeParams,
     threads: usize,
-    feature_subset: &[usize],
-) -> usize {
-    // Same sequential fold as the exact trainer, so leaf values are bit-identical.
-    let (sum, sq, count) = indices.iter().fold((0.0, 0.0, 0usize), |(s, q, c), &i| {
-        (s + targets[i], q + targets[i] * targets[i], c + 1)
-    });
-    let leaf_value = sum / (count as f64 + params.leaf_regularization);
+    feature_subset: &'a [usize],
+    arena: &'a mut HistArena,
+    nodes: Vec<Node>,
+    /// The node's rows: each node owns a contiguous range, partitioned in place.
+    rows: Vec<usize>,
+    leaves: Vec<LeafSpan>,
+}
 
-    let should_split = depth < params.max_depth
-        && count >= params.min_samples_split
-        && count >= 2 * params.min_samples_leaf;
-    let (best, hist) = if should_split {
-        let hist = hist
-            .unwrap_or_else(|| build_histogram(matrix, targets, indices, threads, feature_subset));
-        let mut best = best_split_histogram(matrix, &hist, sum, sq, count, params, feature_subset);
-        if let Some(split) = best.as_mut() {
-            // The sweep's gain is built from per-bin partial sums, which re-associates the
-            // floating-point additions relative to the exact trainer's row-by-row scan.
-            // Recompute the winner's gain (only the winner — O(n + bins)) in the exact
-            // trainer's accumulation order so the stored value is bit-identical.
-            split.gain = winner_gain(matrix, targets, indices, split, sum, sq, count);
-        }
-        (best, Some(hist))
-    } else {
-        (None, None)
-    };
+impl BinnedGrower<'_> {
+    /// Grows the subtree over `rows[start..end]`; returns the arena index of its root. `hist`
+    /// is the node's histogram when its parent built one, which it does exactly for the
+    /// children that search for a split (`None` at the root).
+    fn grow(&mut self, start: usize, end: usize, hist: Option<Histogram>, depth: usize) -> usize {
+        // Same sequential fold as the exact trainer, so leaf values are bit-identical.
+        let (sum, sq, count) =
+            self.rows[start..end]
+                .iter()
+                .fold((0.0, 0.0, 0usize), |(s, q, c), &i| {
+                    let t = self.targets[i];
+                    (s + t, q + t * t, c + 1)
+                });
+        let leaf_value = sum / (count as f64 + self.params.leaf_regularization);
 
-    match best {
-        None => {
-            binned.tree.nodes.push(Node::Leaf {
-                value: leaf_value,
-                samples: count,
-            });
-            binned.tree.nodes.len() - 1
+        if !self.params.searches(depth, count) {
+            debug_assert!(hist.is_none(), "only searching nodes get a histogram");
+            return self.leaf(leaf_value, start, end);
         }
-        Some(split) => {
-            // Stable in-place partition by bin id — routes exactly the same rows left as the
-            // exact trainer's `value <= threshold` (bins `<= split.bin` hold precisely the
-            // values below the boundary midpoint) and preserves the same index order.
-            let column = matrix.column(split.feature);
-            let mut left_len = 0usize;
-            for i in 0..indices.len() {
-                if column[indices[i]] <= split.bin {
-                    indices.swap(i, left_len);
-                    left_len += 1;
+        let hist = hist.unwrap_or_else(|| self.build(start, end));
+        let Some(mut split) = self.best_split(&hist, sum, sq, count) else {
+            self.arena.recycle(hist);
+            return self.leaf(leaf_value, start, end);
+        };
+        split.gain = self.winner_gain(&hist, start, end, &split, sum, sq, count);
+
+        // Routes exactly the rows the exact trainer's `value <= threshold` routes: bins
+        // `<= split.bin` hold precisely the node's values below the threshold.
+        let column = self.matrix.column(split.feature);
+        let mid = start + partition(&mut self.rows[start..end], |row| column[row] <= split.bin);
+        // Reserve the arena slot before recursing so the root stays at index 0.
+        let node_index = self.nodes.len();
+        self.nodes.push(Node::Leaf {
+            value: leaf_value,
+            samples: count,
+        });
+        let (left_hist, right_hist) = self.child_histograms(hist, start, mid, end, depth + 1);
+        let left = self.grow(start, mid, left_hist, depth + 1);
+        let right = self.grow(mid, end, right_hist, depth + 1);
+        self.nodes[node_index] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            left,
+            right,
+            gain: split.gain,
+        };
+        node_index
+    }
+
+    fn leaf(&mut self, value: f64, start: usize, end: usize) -> usize {
+        self.nodes.push(Node::Leaf {
+            value,
+            samples: end - start,
+        });
+        self.leaves.push(LeafSpan { value, start, end });
+        self.nodes.len() - 1
+    }
+
+    /// The histograms of a split's children `rows[start..mid]` and `rows[mid..end]`, built
+    /// only for a child that will search for a split. The smaller child is scanned (the left
+    /// one on a tie) and the larger is `parent − smaller`, also when only the larger
+    /// searches, so every cell carries the same float operations whichever children search.
+    fn child_histograms(
+        &mut self,
+        mut parent: Histogram,
+        start: usize,
+        mid: usize,
+        end: usize,
+        depth: usize,
+    ) -> (Option<Histogram>, Option<Histogram>) {
+        let left_is_small = mid - start <= end - mid;
+        let (small, large) = if left_is_small {
+            ((start, mid), (mid, end))
+        } else {
+            ((mid, end), (start, mid))
+        };
+        let small_searches = self.params.searches(depth, small.1 - small.0);
+        let large_searches = self.params.searches(depth, large.1 - large.0);
+        let (small_hist, large_hist) = match (small_searches, large_searches) {
+            (false, false) => {
+                self.arena.recycle(parent);
+                (None, None)
+            }
+            (true, false) => {
+                self.arena.recycle(parent);
+                (Some(self.build(small.0, small.1)), None)
+            }
+            (_, true) => {
+                let small_hist = self.build(small.0, small.1);
+                parent.subtract(&small_hist);
+                if small_searches {
+                    (Some(small_hist), Some(parent))
+                } else {
+                    self.arena.recycle(small_hist);
+                    (None, Some(parent))
                 }
             }
-            // Reserve the arena slot before recursing so the root stays at index 0.
-            let node_index = binned.tree.nodes.len();
-            binned.tree.nodes.push(Node::Leaf {
-                value: leaf_value,
-                samples: count,
-            });
-
-            // Scan only the smaller child; the larger one is parent − smaller.
-            let mut parent_hist = hist.expect("split implies histogram");
-            let (left_indices, right_indices) = indices.split_at_mut(left_len);
-            let (left_hist, right_hist) = if left_indices.len() <= right_indices.len() {
-                let small = build_histogram(matrix, targets, left_indices, threads, feature_subset);
-                subtract_histogram(&mut parent_hist, &small);
-                (small, parent_hist)
-            } else {
-                let small =
-                    build_histogram(matrix, targets, right_indices, threads, feature_subset);
-                subtract_histogram(&mut parent_hist, &small);
-                (parent_hist, small)
-            };
-
-            let left = grow_binned(
-                binned,
-                matrix,
-                targets,
-                left_indices,
-                Some(left_hist),
-                params,
-                depth + 1,
-                threads,
-                feature_subset,
-            );
-            let right = grow_binned(
-                binned,
-                matrix,
-                targets,
-                right_indices,
-                Some(right_hist),
-                params,
-                depth + 1,
-                threads,
-                feature_subset,
-            );
-            binned.tree.nodes[node_index] = Node::Split {
-                feature: split.feature,
-                threshold: split.threshold,
-                left,
-                right,
-                gain: split.gain,
-            };
-            node_index
+        };
+        if left_is_small {
+            (small_hist, large_hist)
+        } else {
+            (large_hist, small_hist)
         }
     }
-}
 
-/// Recomputes the winning split's gain with the exact trainer's accumulation order: rows
-/// sorted by bin (equal feature values always share a bin, and the stable counting sort
-/// keeps them in `indices` order — exactly the exact trainer's stable value sort), summed
-/// row by row. With one bin per distinct value this reproduces the exact gain bit for bit.
-fn winner_gain(
-    matrix: &FeatureMatrix,
-    targets: &[f64],
-    indices: &[usize],
-    split: &BestBinnedSplit,
-    total_sum: f64,
-    total_sq: f64,
-    count: usize,
-) -> f64 {
-    let column = matrix.column(split.feature);
-    let bins = matrix.num_bins(split.feature);
-    // Stable counting sort of the node's rows by bin id.
-    let mut cursors = vec![0usize; bins + 1];
-    for &i in indices {
-        cursors[column[i] as usize + 1] += 1;
+    /// Scans the histogram of `rows[start..end]` into a recycled all-zero histogram (only
+    /// `feature_subset` columns; the rest stay zero and produce no split candidates). Each
+    /// feature fills its own slice, so the per-feature fan-out on large nodes builds the same
+    /// cells for every thread count.
+    fn build(&mut self, start: usize, end: usize) -> Histogram {
+        let obs = surf_obs::global();
+        let span = obs.timer();
+        let mut hist = self.arena.take();
+        let rows = &self.rows[start..end];
+        let d = self.feature_subset.len();
+        let threads = if d > 1 && rows.len().saturating_mul(d) >= PARALLEL_HIST_CELLS {
+            self.threads
+        } else {
+            1
+        };
+        let mut columns = self.arena.columns(&mut hist, self.feature_subset);
+        let (matrix, targets) = (self.matrix, self.targets);
+        parallel_for_each(&mut columns, threads, |(f, cells, occupied)| {
+            scan_feature(matrix.column(*f), targets, rows, cells, occupied)
+        });
+        obs.record(&obs.ml_hist_build, span);
+        hist
     }
-    for b in 0..bins {
-        cursors[b + 1] += cursors[b];
-    }
-    let mut ordered = vec![0usize; indices.len()];
-    for &i in indices {
-        let b = column[i] as usize;
-        ordered[cursors[b]] = i;
-        cursors[b] += 1;
-    }
-    // `cursors[split.bin]` now points one past the last left row.
-    let left_n = cursors[split.bin as usize];
-    let mut left_sum = 0.0;
-    let mut left_sq = 0.0;
-    for &i in &ordered[..left_n] {
-        let t = targets[i];
-        left_sum += t;
-        left_sq += t * t;
-    }
-    let right_n = count - left_n;
-    let right_sum = total_sum - left_sum;
-    let right_sq = total_sq - left_sq;
-    let parent_sse = total_sq - total_sum * total_sum / count as f64;
-    let left_sse = left_sq - left_sum * left_sum / left_n as f64;
-    let right_sse = right_sq - right_sum * right_sum / right_n as f64;
-    parent_sse - left_sse - right_sse
-}
 
-/// Linear histogram sweep over every feature's bin boundaries: same candidate order, gain
-/// formula and strict-improvement tie-breaking as [`RegressionTree::best_split`], with empty
-/// bins skipped so thresholds sit between the node's *locally present* value groups (the
-/// exact trainer's midpoints).
-fn best_split_histogram(
-    matrix: &FeatureMatrix,
-    hist: &[HistBin],
-    total_sum: f64,
-    total_sq: f64,
-    count: usize,
-    params: &TreeParams,
-    feature_subset: &[usize],
-) -> Option<BestBinnedSplit> {
-    let obs = surf_obs::global();
-    let span = obs.timer();
-    let n = count;
-    let parent_sse = total_sq - total_sum * total_sum / n as f64;
-    let mut best: Option<BestBinnedSplit> = None;
-    for &feature in feature_subset {
-        let cells = &hist[matrix.offset(feature)..matrix.offset(feature + 1)];
+    /// Recomputes the winning split's gain in the exact trainer's accumulation order. The
+    /// sweep's gain is built from per-bin partial sums, which re-associates the floating-point
+    /// additions relative to the exact trainer's row-by-row scan, so only the winner is
+    /// summed again, row by row: the left rows sorted by bin. Equal feature values always
+    /// share a bin, and the stable counting sort keeps them in node order, which is the
+    /// exact trainer's stable value sort over the same node order (both trainers leave a
+    /// node's rows in the order the shared [`partition`] gave them). With one bin per
+    /// distinct value this reproduces the exact gain bit for bit. The node histogram's counts
+    /// place each bin's rows, so the sort costs the node's rows and occupied bins.
+    #[allow(clippy::too_many_arguments)]
+    fn winner_gain(
+        &mut self,
+        hist: &Histogram,
+        start: usize,
+        end: usize,
+        split: &BestBinnedSplit,
+        total_sum: f64,
+        total_sq: f64,
+        count: usize,
+    ) -> f64 {
+        let (first, last) = (
+            self.arena.words[split.feature],
+            self.arena.words[split.feature + 1],
+        );
+        let cells = &hist.cells[first * WORD_BITS..];
+        let last_left = split.bin as usize;
+        let HistArena {
+            cursors, ordered, ..
+        } = &mut *self.arena;
+        let mut left_n = 0usize;
+        for b in set_bits(&hist.occupied[first..last]) {
+            if b > last_left {
+                break;
+            }
+            cursors[b] = left_n;
+            left_n += cells[b].count;
+        }
+        ordered.clear();
+        ordered.resize(left_n, 0.0);
+        let column = self.matrix.column(split.feature);
+        for &row in &self.rows[start..end] {
+            let b = column[row] as usize;
+            if b <= last_left {
+                ordered[cursors[b]] = self.targets[row];
+                cursors[b] += 1;
+            }
+        }
         let mut left_sum = 0.0;
         let mut left_sq = 0.0;
-        let mut left_n = 0usize;
-        let mut left_bin: Option<usize> = None;
-        for (b, cell) in cells.iter().enumerate() {
-            if cell.count == 0 {
-                continue;
-            }
-            if let Some(prev) = left_bin {
-                // Candidate boundary between the previous non-empty bin and this one.
-                let right_n = n - left_n;
-                if left_n >= params.min_samples_leaf && right_n >= params.min_samples_leaf {
-                    let right_sum = total_sum - left_sum;
-                    let right_sq = total_sq - left_sq;
-                    // Same expression (and rounding sequence) as the exact trainer's
-                    // `best_split` — required for the bit-parity guarantee.
-                    let left_sse = left_sq - left_sum * left_sum / left_n as f64;
-                    let right_sse = right_sq - right_sum * right_sum / right_n as f64;
-                    let gain = parent_sse - left_sse - right_sse;
-                    if gain > params.min_gain
-                        && best.as_ref().map(|s| gain > s.gain).unwrap_or(true)
-                    {
-                        best = Some(BestBinnedSplit {
-                            feature,
-                            bin: prev as u16,
-                            threshold: matrix.split_threshold(feature, prev, b),
-                            gain,
-                        });
+        for &t in ordered.iter() {
+            left_sum += t;
+            left_sq += t * t;
+        }
+        let right_n = count - left_n;
+        let right_sum = total_sum - left_sum;
+        let right_sq = total_sq - left_sq;
+        let parent_sse = total_sq - total_sum * total_sum / count as f64;
+        let left_sse = left_sq - left_sum * left_sum / left_n as f64;
+        let right_sse = right_sq - right_sum * right_sum / right_n as f64;
+        parent_sse - left_sse - right_sse
+    }
+
+    /// Linear histogram sweep over every feature's occupied bins: same candidate order, gain
+    /// formula and strict-improvement tie-breaking as [`RegressionTree::best_split`], with
+    /// empty bins skipped so thresholds sit between the node's *locally present* value groups
+    /// (the exact trainer's midpoints).
+    fn best_split(
+        &self,
+        hist: &Histogram,
+        total_sum: f64,
+        total_sq: f64,
+        count: usize,
+    ) -> Option<BestBinnedSplit> {
+        let obs = surf_obs::global();
+        let span = obs.timer();
+        let n = count;
+        let parent_sse = total_sq - total_sum * total_sum / n as f64;
+        let min_leaf = self.params.min_samples_leaf;
+        let mut best: Option<BestBinnedSplit> = None;
+        for &feature in self.feature_subset {
+            let (first, last) = (self.arena.words[feature], self.arena.words[feature + 1]);
+            let cells = &hist.cells[first * WORD_BITS..];
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            let mut left_n = 0usize;
+            let mut left_bin: Option<usize> = None;
+            for b in set_bits(&hist.occupied[first..last]) {
+                let cell = &cells[b];
+                // A bin a sibling subtraction emptied keeps its bit.
+                if cell.count == 0 {
+                    continue;
+                }
+                if let Some(prev) = left_bin {
+                    // Candidate boundary between the previous non-empty bin and this one.
+                    let right_n = n - left_n;
+                    if left_n >= min_leaf && right_n >= min_leaf {
+                        let right_sum = total_sum - left_sum;
+                        let right_sq = total_sq - left_sq;
+                        // Same expression (and rounding sequence) as the exact trainer's
+                        // `best_split` — required for the bit-parity guarantee.
+                        let left_sse = left_sq - left_sum * left_sum / left_n as f64;
+                        let right_sse = right_sq - right_sum * right_sum / right_n as f64;
+                        let gain = parent_sse - left_sse - right_sse;
+                        if gain > self.params.min_gain
+                            && best.as_ref().map(|s| gain > s.gain).unwrap_or(true)
+                        {
+                            best = Some(BestBinnedSplit {
+                                feature,
+                                bin: prev as u16,
+                                threshold: self.matrix.split_threshold(feature, prev, b),
+                                gain,
+                            });
+                        }
                     }
                 }
+                left_sum += cell.sum;
+                left_sq += cell.sq;
+                left_n += cell.count;
+                left_bin = Some(b);
             }
-            left_sum += cell.sum;
-            left_sq += cell.sq;
-            left_n += cell.count;
-            left_bin = Some(b);
+        }
+        obs.record(&obs.ml_split_search, span);
+        best
+    }
+}
+
+/// Moves the rows `goes_left` accepts to the front of `rows`, keeping their order, and
+/// returns how many there are. The rows that go right end up permuted. Both trainers
+/// partition with this one function, so their children receive the same rows in the same
+/// order, and that is what keeps the two trainers' accumulation orders, and so their trees,
+/// bit-identical.
+fn partition(rows: &mut [usize], goes_left: impl Fn(usize) -> bool) -> usize {
+    let mut left_len = 0usize;
+    for i in 0..rows.len() {
+        if goes_left(rows[i]) {
+            rows.swap(i, left_len);
+            left_len += 1;
         }
     }
-    obs.record(&obs.ml_split_search, span);
-    best
+    left_len
 }
 
 #[cfg(test)]
@@ -1028,14 +1219,42 @@ mod tests {
         let matrix = FeatureMatrix::from_rows(&x, 128).unwrap();
         let indices: Vec<usize> = (0..x.len()).collect();
         let params = TreeParams::default();
-        let binned =
-            RegressionTree::fit_binned_prevalidated(&matrix, &y, &indices, &params, 1, &[0])
-                .unwrap();
+        let mut arena = HistArena::new(&matrix);
+        let binned = RegressionTree::fit_binned_prevalidated(
+            &matrix,
+            &y,
+            &indices,
+            &params,
+            1,
+            &[0],
+            &mut arena,
+        )
+        .unwrap();
         for (row, example) in x.iter().enumerate() {
             let via_bins = binned.predict_row(&matrix, row);
             let via_values = binned.tree.predict_one(example).unwrap();
             assert_eq!(via_bins, via_values);
         }
+    }
+
+    #[test]
+    fn adjacent_double_thresholds_separate_the_rows() {
+        // Adjacent doubles: their midpoint rounds onto the larger one, so a midpoint
+        // threshold would send both rows left and leave an empty right child.
+        let (lo, hi) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        assert_eq!(0.5 * (lo + hi), hi);
+        let x = vec![vec![lo], vec![hi]];
+        let y = vec![0.0, 10.0];
+        let exact = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
+        let matrix = FeatureMatrix::from_rows(&x, 2).unwrap();
+        assert_eq!(matrix.split_threshold(0, 0, 1), lo);
+        let binned = RegressionTree::fit_matrix(&matrix, &y, &TreeParams::default()).unwrap();
+        for tree in [&exact, &binned] {
+            assert_eq!(tree.leaf_count(), 2);
+            assert_eq!(tree.predict_one(&[lo]).unwrap(), 0.0);
+            assert_eq!(tree.predict_one(&[hi]).unwrap(), 10.0);
+        }
+        assert_eq!(exact, binned);
     }
 
     #[test]
