@@ -1,9 +1,10 @@
 //! **unsafe-boundary** — `#![forbid(unsafe_code)]` everywhere, except through one
 //! checked-in gate.
 //!
-//! The workspace ships with a blanket `#![forbid(unsafe_code)]`; the ROADMAP's SIMD
-//! inference kernel will eventually need a vetted hole through it. This rule pre-paves
-//! that on-ramp so the hole can only be opened deliberately:
+//! The workspace ships with a blanket `#![forbid(unsafe_code)]`, and each hole through it
+//! is opened deliberately, with a written reason: `surf-reactor`'s epoll FFI, and
+//! `surf-ml`'s one call into the AVX2 build of the KDE box loop. This rule keeps the
+//! on-ramp narrow:
 //!
 //! * every non-vendored crate's `src/lib.rs` must carry `#![forbid(unsafe_code)]` (or
 //!   `#![deny(unsafe_code)]`), **unless** the crate is listed in

@@ -20,8 +20,17 @@
 //! degree-13 Taylor polynomial on `|r| ≤ ln2/2` evaluated by Estrin's scheme, and `2^k`
 //! assembled from exponent bits. It is within 1 ulp of `f64::exp` on `[−708, 0]`, and it is
 //! built from adds, multiplies, a `max` and bit operations, so the block loop compiles to packed
-//! SIMD on the baseline x86-64 target with no `unsafe` and no target feature. A libm `exp` is
-//! an opaque call per CDF that keeps the loop scalar, whatever the data layout.
+//! SIMD. A libm `exp` is an opaque call per CDF that keeps the loop scalar, whatever the data
+//! layout.
+//!
+//! The loop is one `#[inline(always)]` body compiled twice: for the baseline x86-64 target,
+//! whose SSE2 packs two lanes, and as a private `#[target_feature(enable = "avx2")]` function
+//! with four. `box_probability` takes the AVX2 build whenever
+//! `is_x86_feature_detected!("avx2")` holds, the same probe whose answer surf-simd stamps on
+//! benchmark records. That call is this crate's one `unsafe` block. AVX2 alone does not fuse a
+//! multiply and an add (that is FMA, which stays off), so both builds run the same operations in
+//! the same order and every box mass keeps its bits; a unit test compares the two builds by
+//! `to_bits()`.
 //!
 //! Against the same A&S formula with two divisions and a libm `exp` per CDF (the oracle of the
 //! `kde_parity` suite), a box mass differs by at most `1e−14` relative plus `1e−16` absolute,
@@ -183,31 +192,75 @@ impl KernelDensity {
                 });
             }
         }
-        let mut coords = [0.0; BLOCK];
-        let mut masses = [0.0; BLOCK];
-        let mut total = 0.0;
-        for block in self.points.chunks(BLOCK) {
-            let coords = &mut coords[..block.len()];
-            let masses = &mut masses[..block.len()];
-            masses.fill(1.0);
-            for (dim, h) in self.bandwidths.iter().enumerate() {
-                for (coord, point) in coords.iter_mut().zip(block) {
-                    *coord = point[dim];
-                }
-                let scale = FRAC_1_SQRT_2 / h;
-                let (hi, lo) = (upper[dim], lower[dim]);
-                for (mass, &coord) in masses.iter_mut().zip(coords.iter()) {
-                    let above = 0.5 * (1.0 + erf((hi - coord) * scale));
-                    let below = 0.5 * (1.0 + erf((lo - coord) * scale));
-                    *mass *= (above - below).max(0.0);
-                }
+        Ok((self.support_mass(lower, upper) / self.points.len() as f64).clamp(0.0, 1.0))
+    }
+
+    /// The support's summed box masses from the widest build of [`block_loop`] this CPU runs:
+    /// the AVX2 instantiation when `is_x86_feature_detected!("avx2")` holds, the baseline
+    /// build otherwise. Both return the same bits.
+    fn support_mass(&self, lower: &[f64], upper: &[f64]) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `block_loop_avx2` requires only that the CPU executes AVX2, which the
+            // check above has just confirmed.
+            #[allow(unsafe_code)]
+            let total = unsafe { block_loop_avx2(&self.points, &self.bandwidths, lower, upper) };
+            return total;
+        }
+        block_loop(&self.points, &self.bandwidths, lower, upper)
+    }
+}
+
+/// Sum over the support of each point's box mass, the product over dimensions of
+/// `max(Φ(upper) − Φ(lower), 0)`, scored in blocks of [`BLOCK`] points and added in point
+/// order. `lower` and `upper` hold one bound per bandwidth. Compiled twice: inline into
+/// [`KernelDensity::support_mass`] for the baseline target, and as [`block_loop_avx2`].
+#[inline(always)]
+fn block_loop(points: &[Vec<f64>], bandwidths: &[f64], lower: &[f64], upper: &[f64]) -> f64 {
+    let mut coords = [0.0; BLOCK];
+    let mut masses = [0.0; BLOCK];
+    let mut total = 0.0;
+    for block in points.chunks(BLOCK) {
+        let coords = &mut coords[..block.len()];
+        let masses = &mut masses[..block.len()];
+        masses.fill(1.0);
+        for (dim, h) in bandwidths.iter().enumerate() {
+            for (coord, point) in coords.iter_mut().zip(block) {
+                *coord = point[dim];
             }
-            for &mass in masses.iter() {
-                total += mass;
+            let scale = FRAC_1_SQRT_2 / h;
+            let (hi, lo) = (upper[dim], lower[dim]);
+            for (mass, &coord) in masses.iter_mut().zip(coords.iter()) {
+                let above = 0.5 * (1.0 + erf((hi - coord) * scale));
+                let below = 0.5 * (1.0 + erf((lo - coord) * scale));
+                *mass *= (above - below).max(0.0);
             }
         }
-        Ok((total / self.points.len() as f64).clamp(0.0, 1.0))
+        for &mass in masses.iter() {
+            total += mass;
+        }
     }
+    total
+}
+
+/// [`block_loop`] compiled with AVX2 enabled: four lanes where the baseline build has two, and
+/// the same operations in the same order (AVX2 brings no FMA), so the same bits.
+///
+/// # Safety
+///
+/// The CPU must execute AVX2 instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+// SAFETY: `unsafe` only because a safe `#[target_feature]` function needs Rust 1.86 and the
+// workspace supports 1.80; the body is safe code, and the one caller checks for AVX2 first.
+unsafe fn block_loop_avx2(
+    points: &[Vec<f64>],
+    bandwidths: &[f64],
+    lower: &[f64],
+    upper: &[f64],
+) -> f64 {
+    block_loop(points, bandwidths, lower, upper)
 }
 
 /// Population standard deviation of one coordinate of the support points. A row too short to
@@ -394,6 +447,99 @@ mod tests {
         let small = kde.box_probability(&[0.4, 0.4], &[0.6, 0.6]).unwrap();
         let large = kde.box_probability(&[0.2, 0.2], &[0.8, 0.8]).unwrap();
         assert!(large > small);
+    }
+
+    /// Half the points uniform on the unit cube, half in a tight cluster at 0.3.
+    fn mixed_support(n: usize, d: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let (origin, width) = if i % 2 == 0 { (0.0, 1.0) } else { (0.3, 0.05) };
+                (0..d)
+                    .map(|_| origin + width * rng.random::<f64>())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A box inside the data, across the cluster's edge, or far outside the data in the first
+    /// dimension.
+    fn random_box(d: usize, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
+        let kind = rng.random_range(0..3usize);
+        (0..d)
+            .map(|dim| {
+                let (centre, half) = match kind {
+                    0 => (rng.random::<f64>(), 0.001 + 0.3 * rng.random::<f64>()),
+                    1 => (0.3 + 0.05 * rng.random::<f64>(), 0.05 * rng.random::<f64>()),
+                    _ if dim == 0 => {
+                        let side = if rng.random::<bool>() { 1.0 } else { -1.0 };
+                        (0.5 + side * (3.0 + 50.0 * rng.random::<f64>()), 0.5)
+                    }
+                    _ => (rng.random::<f64>(), 0.3 * rng.random::<f64>()),
+                };
+                (centre - half, centre + half)
+            })
+            .unzip()
+    }
+
+    /// `box_probability` and the kernel it dispatches to (the AVX2 instantiation on an AVX2
+    /// CPU) against the baseline build of the block loop, bit for bit.
+    fn assert_same_bits(kde: &KernelDensity, lower: &[f64], upper: &[f64]) {
+        let baseline = block_loop(&kde.points, &kde.bandwidths, lower, upper);
+        let dispatched = kde.support_mass(lower, upper);
+        let context = || format!("{} points, box {lower:?}..{upper:?}", kde.len());
+        assert_eq!(
+            dispatched.to_bits(),
+            baseline.to_bits(),
+            "dispatched {dispatched:e} vs baseline {baseline:e}: {}",
+            context()
+        );
+        let expected = (baseline / kde.len() as f64).clamp(0.0, 1.0);
+        let probability = kde.box_probability(lower, upper).unwrap();
+        assert_eq!(probability.to_bits(), expected.to_bits(), "{}", context());
+    }
+
+    #[test]
+    fn every_build_of_the_block_loop_gives_the_same_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: checked the baseline build of the block loop alone");
+        }
+        let mut rng = StdRng::seed_from_u64(26);
+        let special = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.3,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        for d in 1..=5 {
+            for n in [1, BLOCK - 1, BLOCK, BLOCK + 1, 2_000] {
+                let points = mixed_support(n, d, &mut rng);
+                let kde = KernelDensity::fit_scott(&points).unwrap();
+                for _ in 0..if n == 2_000 { 100 } else { 400 } {
+                    let (lower, upper) = random_box(d, &mut rng);
+                    assert_same_bits(&kde, &lower, &upper);
+                }
+                // Every pair of special values on one side of one box, which includes NaN,
+                // infinite, inverted and zero-width sides, then a whole box inverted and one
+                // of zero width.
+                let (lower, upper) = random_box(d, &mut rng);
+                let dim = rng.random_range(0..d);
+                for &lo in &special {
+                    for &hi in &special {
+                        let (mut l, mut u) = (lower.clone(), upper.clone());
+                        (l[dim], u[dim]) = (lo, hi);
+                        assert_same_bits(&kde, &l, &u);
+                    }
+                }
+                assert_same_bits(&kde, &upper, &lower);
+                assert_same_bits(&kde, &lower, &lower);
+            }
+        }
     }
 
     #[test]

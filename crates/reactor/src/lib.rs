@@ -18,8 +18,9 @@
 //!
 //! ## The unsafe boundary
 //!
-//! This crate is the workspace's one vetted hole through `#![forbid(unsafe_code)]`,
-//! registered in `analyze/unsafe_boundary.toml`. Every `unsafe` block is a direct FFI call
+//! This crate is one of the workspace's two vetted holes through `#![forbid(unsafe_code)]`
+//! (the other is `surf-ml`'s AVX2 dispatch), registered in `analyze/unsafe_boundary.toml`,
+//! and the only one that calls foreign code. Every `unsafe` block is a direct FFI call
 //! into the platform libc with a written `// SAFETY:` argument, and nothing unsafe escapes
 //! the module: the public API hands out no raw pointers, every file descriptor this crate
 //! creates is owned by a type that closes it on `Drop`, and descriptors registered by the

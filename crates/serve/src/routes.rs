@@ -120,7 +120,7 @@ pub struct MineRequest {
     pub model: String,
     /// Threshold override; the model's configured threshold is used when absent.
     pub threshold: Option<ThresholdSpec>,
-    /// Keep only the best `top` regions of the outcome.
+    /// Keep only the best `top` regions of the outcome; 0 is refused as a bad request.
     pub top: Option<usize>,
 }
 
@@ -274,6 +274,10 @@ fn predict(context: &ServeContext, body: &str) -> Result<String, ServeError> {
 
 fn mine(context: &ServeContext, body: &str) -> Result<String, ServeError> {
     let request: MineRequest = serde_json::from_str(body)?;
+    // A whole mining call to return no region: refuse it before it runs.
+    if request.top == Some(0) {
+        return Err(ServeError::BadRequest("`top` must be at least 1".into()));
+    }
     let model = context.registry.get(&request.model)?;
     let threshold = match &request.threshold {
         Some(spec) => spec.to_threshold()?,

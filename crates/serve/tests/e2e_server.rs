@@ -216,6 +216,18 @@ fn end_to_end_serving() {
     let mined: MineResponse = serde_json::from_str(&body).unwrap();
     assert!(mined.outcome.regions.len() <= 1);
 
+    // `top: 0` asks for no region, so it is refused before any GSO pass runs. No other test
+    // in this binary mines, so the process-wide pass counters hold still.
+    let passes = |samples: &[expo::Sample]| {
+        ["margined", "raw"]
+            .map(|pass| metric(samples, "surf_core_mine_runs_total", &[("pass", pass)]))
+    };
+    let before = passes(&scrape(&addr));
+    let (status, body) = post(&addr, "/mine", "{\"model\": \"hotspots\", \"top\": 0}");
+    assert_eq!(status, 400, "top 0: {body}");
+    assert_eq!(error_code(&body), "bad_request");
+    assert_eq!(passes(&scrape(&addr)), before, "`top: 0` ran a mining pass");
+
     // --- concurrent clients: correct answers, counted requests --------------------------
     let before = scrape(&addr);
     let clients = 10u64;

@@ -5,8 +5,10 @@
 //!
 //! [`detected`] asks the CPU once per process (`is_x86_feature_detected!`, cached in a
 //! [`OnceLock`]) for the widest vector ISA it supports: AVX2 when present, else SSE2 (part
-//! of the x86_64 baseline), and [`Isa::Scalar`] on every other architecture. No inference
-//! or mining code branches on the answer; it is a label, not a dispatch.
+//! of the x86_64 baseline), and [`Isa::Scalar`] on every other architecture. This crate is
+//! a label, not a dispatch: no code branches on [`detected`]. The one dispatch on the ISA,
+//! `surf-ml`'s KDE box loop, asks `std`'s `is_x86_feature_detected!("avx2")` itself, the same
+//! test, so an `avx2` stamp names the build of that loop the run used.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
